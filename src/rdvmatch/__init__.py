@@ -37,7 +37,6 @@ from .io import (
     write_instance,
 )
 from .matching import (
-    FreeSet,
     delayed_greedy,
     delayed_greedy_delta,
     greedy_reference,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_instance",
     "save_instance",
     "write_instance",
-    "FreeSet",
     "delayed_greedy",
     "delayed_greedy_delta",
     "greedy_reference",

@@ -15,6 +15,7 @@ from .core import (
     InvalidInstanceError,
     RdvInstance,
     bottom_up_order,
+    checked_coordinates,
     oracle_adjacency,
     validate_instance,
 )
@@ -133,10 +134,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_segments(args) -> int:
     inst = _load(args.file)
-    violations = validate_instance(inst)
-    if violations:
-        raise SystemExit("error: invalid instance: " + "; ".join(violations))
-    coords = assign_coordinates(inst.tree)
+    try:
+        coords = checked_coordinates(inst)
+    except InvalidInstanceError as exc:
+        raise SystemExit(f"error: {exc}")
     order = bottom_up_order(inst, coords)
     lines = []
     for node in range(1, inst.tree.node_count + 1):

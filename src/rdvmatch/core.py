@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
+from .geometry import NodeCoords, assign_coordinates
+
 
 class VertexPath(NamedTuple):
     """Downward path of one vertex: ``top`` is an ancestor of ``bottom``."""
@@ -118,10 +120,6 @@ class RdvInstance:
             return (vert.bottom,)
         return vert.bottoms
 
-    def is_plain(self) -> bool:
-        """True when every vertex is a single downward path."""
-        return all(len(self.bottoms(v)) == 1 for v in range(1, self.n + 1))
-
 
 class Matching:
     """Set of matched vertex pairs with no shared endpoint."""
@@ -192,12 +190,37 @@ def validate_instance(inst: RdvInstance) -> list[str]:
     cycles) suppress the per-vertex ancestry checks, which are only
     meaningful on a valid tree.
     """
+    return _validate(inst)[0]
+
+
+def checked_coordinates(inst: RdvInstance) -> NodeCoords:
+    """Node coordinates of a well-formed instance.
+
+    Validation and coordinates share one traversal of the host tree.
+    Raises :class:`InvalidInstanceError` with every violation otherwise.
+    """
+    violations, coords = _validate(inst)
+    if violations:
+        raise InvalidInstanceError(violations)
+    return coords
+
+
+def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
+    """Violations of ``inst``, plus its coordinates when the tree is sound.
+
+    Range and root checks come first, because :func:`assign_coordinates`
+    needs exactly one root.  Its output then answers the rest: nodes the
+    root does not reach keep ``x == 0``, and node t is an ancestor-or-self
+    of node b iff ``x(t) <= x(b)``, ``r(b) <= r(t)`` and ``y(t) <= y(b)``
+    (leaf ranges nest, and the depth test separates the nodes of a unary
+    chain, which share one range).
+    """
     tree = inst.tree
     n_nodes = tree.node_count
     violations: list[str] = []
 
     if n_nodes < 1:
-        return ["tree has no nodes"]
+        return ["tree has no nodes"], None
 
     for i in range(1, n_nodes + 1):
         p = tree.parent(i)
@@ -210,19 +233,21 @@ def validate_instance(inst: RdvInstance) -> list[str]:
     elif len(roots) > 1:
         violations.append("multiple roots: nodes " + ", ".join(map(str, roots)))
 
-    tree_ok = not violations
-    tin = tout = None
-    if tree_ok:
-        reached, tin, tout = _euler_intervals(tree, roots[0])
+    coords = None
+    if not violations:
+        coords = assign_coordinates(tree)
+        reached = n_nodes + 1 - coords.x.count(0)  # slot 0 is always 0
         if reached != n_nodes:
             violations.append(
                 f"only {reached} of {n_nodes} nodes reachable from root (cycle)"
             )
-            tree_ok = False
+            coords = None
 
     if inst.delta < 1:
         violations.append(f"delta must be at least 1, got {inst.delta}")
 
+    if coords is not None:
+        x, y, r = coords.x, coords.y, coords.r
     for v in range(1, inst.n + 1):
         top = inst.top(v)
         bottoms = inst.bottoms(v)
@@ -242,39 +267,13 @@ def validate_instance(inst: RdvInstance) -> list[str]:
             violations.append(
                 f"vertex {v}: {len(bottoms)} bottoms exceeds delta={inst.delta}"
             )
-        if tree_ok and ids_ok:
+        if coords is not None and ids_ok:
             for b in bottoms:
-                if not (tin[top] <= tin[b] and tout[b] <= tout[top]):
+                if not (x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]):
                     violations.append(
                         f"vertex {v}: top {top} not ancestor of bottom {b}"
                     )
-    return violations
-
-
-def _euler_intervals(tree: HostTree, root: int):
-    """Iterative DFS entry/exit times; ancestor tests become O(1).
-
-    Returns (visited_count, tin, tout) where node a is an ancestor-or-self
-    of node b iff tin[a] <= tin[b] and tout[b] <= tout[a].
-    """
-    n = tree.node_count
-    tin = [0] * (n + 1)
-    tout = [0] * (n + 1)
-    clock = 0
-    visited = 0
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            tout[node] = clock
-            continue
-        clock += 1
-        tin[node] = clock
-        visited += 1
-        stack.append((node, True))
-        for c in reversed(tree.children(node)):
-            stack.append((c, False))
-    return visited, tin, tout
+    return violations, coords
 
 
 def bottom_up_order(inst: RdvInstance, coords) -> list[int]:
@@ -306,17 +305,6 @@ def _walk_depth(tree: HostTree, node: int) -> int:
         node = tree.parent(node)
         d += 1
     return d
-
-
-def _covers(tree: HostTree, depths, u: int, t: int, b: int) -> bool:
-    """True iff node u lies on the downward path from t to b."""
-    du = depths[u]
-    if depths[t] > du or depths[b] < du:
-        return False
-    node = b
-    for _ in range(depths[b] - du):
-        node = tree.parent(node)
-    return node == u
 
 
 def adjacency_oracle(inst: RdvInstance, i: int, j: int) -> bool:

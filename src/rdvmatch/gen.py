@@ -23,14 +23,6 @@ class GenConfig:
     n_vertices: int
     max_branching: int = 3
     delta: int = 1
-    density_mode: str = "sparse"  # "sparse" -> gen_random, "dense" -> gen_dense
-
-
-def generate(cfg: GenConfig) -> RdvInstance:
-    """Dispatch on density_mode."""
-    if cfg.density_mode == "dense":
-        return gen_dense(cfg.n_vertices)
-    return gen_random(cfg)
 
 
 def gen_random(cfg: GenConfig) -> RdvInstance:

@@ -24,14 +24,24 @@ All comparisons stay exact in integer arithmetic, and ``ys <= origin``
 holds iff ``y(t) <= y(b)`` unscaled.  The offset is strictly positive, so
 a segment one level deeper can never collide with a ray origin, and among
 segments at equal depth the maximum ys belongs to the minimum rank.
+
+:func:`assign_coordinates` is the one traversal of the host tree a solve
+makes: validation reads ancestry from its output
+(:func:`rdvmatch.core.checked_coordinates`) and the matching loop reads
+the same arrays.  The perturbation is written once, in
+:func:`segment_height` and :func:`ray_origin`; the matching loop passes
+their values straight to the index, while :class:`HSegment` and
+:class:`RayQuery` are the per-vertex view used by the ``rdvmatch
+segments`` dump and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import HostTree, RdvInstance
+if TYPE_CHECKING:
+    from .core import HostTree, RdvInstance
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,8 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     Iterative traversal (host trees can be deep paths, so no recursion).
     Leaves are numbered in their left-to-right traversal order; an
     internal node inherits x from its first child and r from its last.
+    The tree needs exactly one root; nodes it does not reach (a parent
+    cycle) keep ``x == 0``, which is how validation finds them.
     """
     n = tree.node_count
     x = [0] * (n + 1)
@@ -100,6 +112,17 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     return NodeCoords(tuple(x), tuple(y), tuple(r), leaf_count)
 
 
+def segment_height(top_depth: int, n: int, rank: int) -> int:
+    """Scaled height ys of the segment of the vertex at bottom-up rank
+    ``rank`` (1-based) among ``n``, whose top node is at ``top_depth``."""
+    return top_depth * n + (n - rank + 1)
+
+
+def ray_origin(bottom_depth: int, n: int) -> int:
+    """Scaled origin of the upward ray from a bottom node at ``bottom_depth``."""
+    return (bottom_depth + 1) * n
+
+
 def build_segment(
     inst: RdvInstance, coords: NodeCoords, order: list[int], rank: int
 ) -> HSegment:
@@ -109,7 +132,7 @@ def build_segment(
     top = inst.top(v)
     return HSegment(
         owner=v,
-        ys=coords.y[top] * n + (n - rank + 1),
+        ys=segment_height(coords.y[top], n, rank),
         x_lo=coords.x[top],
         x_hi=coords.r[top],
     )
@@ -117,8 +140,7 @@ def build_segment(
 
 def build_ray(inst: RdvInstance, coords: NodeCoords, j: int, bottom: int) -> RayQuery:
     """Upward ray for vertex ``j`` from one of its bottom nodes."""
-    n = inst.n
-    return RayQuery(x=coords.x[bottom], y_origin=(coords.y[bottom] + 1) * n)
+    return RayQuery(x=coords.x[bottom], y_origin=ray_origin(coords.y[bottom], inst.n))
 
 
 def segment_top_bound(inst: RdvInstance, coords: NodeCoords, j: int) -> int:

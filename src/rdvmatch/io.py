@@ -33,13 +33,14 @@ class _Records:
 
     def __init__(self, text: str):
         self.records: list[tuple[int, list[str]]] = []
+        lineno = 0
         for lineno, raw in enumerate(text.splitlines(), start=1):
             body = raw.split("#", 1)[0]
             tokens = body.split()
             if tokens:
                 self.records.append((lineno, tokens))
         self.pos = 0
-        self.last_line = len(text.splitlines())
+        self.last_line = lineno
 
     def next(self, expected: str) -> tuple[int, list[str]]:
         if self.pos >= len(self.records):

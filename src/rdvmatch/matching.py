@@ -4,16 +4,17 @@ Three routes to a matching:
 
 * :func:`greedy_reference` is the textbook greedy scan over explicit
   neighbor lists, the reference both faster routes must reproduce.
-* :func:`delayed_greedy` runs the same greedy over a plain instance
-  without ever materializing edges: vertices are processed in bottom-up
-  order, free vertices live as horizontal segments in a ray-shooting
-  index, and each step shoots one upward ray.  On plain instances this
-  returns a maximum matching in O(|T| + n * polylog n) time.
-* :func:`delayed_greedy_delta` generalizes to vertices with up to delta
-  bottom nodes by shooting one ray per bottom.  It still matches what the
-  greedy reference produces, but for delta > 1 the greedy itself is no
+* :func:`delayed_greedy_delta` runs the same greedy without ever
+  materializing edges.  One traversal of the host tree yields the node
+  coordinates, which both validate the instance and place the vertices;
+  vertices are then processed in bottom-up order, free vertices live as
+  horizontal segments in a ray-shooting index, and each vertex shoots one
+  upward ray per bottom node.  For delta > 1 the greedy itself is no
   longer guaranteed to be maximum (the 4-trampoline fixture is the
   standard witness).
+* :func:`delayed_greedy` is the delta = 1 case of that one loop: one ray
+  per vertex, and on plain instances a maximum matching in
+  O(|T| + n * polylog n) time.
 
 :func:`maximum_matching_oracle` provides an exact exponential-time answer
 for cross-checking at small sizes.
@@ -21,43 +22,11 @@ for cross-checking at small sizes.
 
 from __future__ import annotations
 
-from .core import (
-    InvalidInstanceError,
-    Matching,
-    RdvInstance,
-    bottom_up_order,
-    validate_instance,
-)
-from .geometry import HSegment, assign_coordinates, build_ray, build_segment
+from array import array
+
+from .core import Matching, RdvInstance, bottom_up_order, checked_coordinates
+from .geometry import NodeCoords, ray_origin, segment_height
 from .rayshoot import get_index_class
-
-
-class FreeSet:
-    """Processed-but-unmatched vertices, stored as live segments in a
-    ray-shooting index plus an owner-to-segment map."""
-
-    __slots__ = ("index", "segments")
-
-    def __init__(self, x_max: int, capacity: int, backend: str = "auto"):
-        self.index = get_index_class(backend)(x_max, capacity)
-        self.segments: dict[int, HSegment] = {}
-
-    def add(self, seg: HSegment) -> None:
-        self.index.insert(seg.owner, seg.x_lo, seg.x_hi, seg.ys)
-        self.segments[seg.owner] = seg
-
-    def remove(self, owner: int) -> HSegment:
-        self.index.delete(owner)
-        return self.segments.pop(owner)
-
-    def shoot(self, x: int, y_origin: int) -> int | None:
-        return self.index.shoot(x, y_origin)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __contains__(self, owner: int) -> bool:
-        return owner in self.segments
 
 
 def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
@@ -87,37 +56,16 @@ def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
     return Matching(pairs)
 
 
-def _check_valid(inst: RdvInstance) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
-
-
 def delayed_greedy(inst: RdvInstance, backend: str = "auto") -> Matching:
     """Maximum matching of a plain instance without touching its edges.
 
-    Pipeline: coordinates, bucket-sorted bottom-up order, then one pass
-    over the vertices.  A vertex either hits the segment of the free
-    neighbor with maximum ys (equivalently, minimum bottom-up rank) and
-    matches it, or becomes free itself and inserts its own segment.
+    The delta = 1 case of :func:`delayed_greedy_delta`: one ray per
+    vertex, and the greedy it reproduces is maximum on plain instances.
     """
-    _check_valid(inst)
-    if inst.delta != 1 or not inst.is_plain():
+    coords = checked_coordinates(inst)
+    if inst.delta != 1:
         raise ValueError("delayed_greedy requires a plain instance (delta=1)")
-    coords = assign_coordinates(inst.tree)
-    order = bottom_up_order(inst, coords)
-    n = inst.n
-    free = FreeSet(max(coords.leaf_count, 1), n, backend)
-    pairs: list[tuple[int, int]] = []
-    for rank, v in enumerate(order, start=1):
-        ray = build_ray(inst, coords, v, inst.bottoms(v)[0])
-        hit = free.shoot(ray.x, ray.y_origin)
-        if hit is not None:
-            free.remove(hit)
-            pairs.append((hit, v))
-        else:
-            free.add(build_segment(inst, coords, order, rank))
-    return Matching(pairs)
+    return _shoot_greedy(inst, coords, backend)
 
 
 def delayed_greedy_delta(inst: RdvInstance, backend: str = "auto") -> Matching:
@@ -127,27 +75,39 @@ def delayed_greedy_delta(inst: RdvInstance, backend: str = "auto") -> Matching:
     Maximal for the processing order, but not necessarily maximum once
     delta exceeds 1.
     """
-    _check_valid(inst)
-    coords = assign_coordinates(inst.tree)
+    return _shoot_greedy(inst, checked_coordinates(inst), backend)
+
+
+def _shoot_greedy(inst: RdvInstance, coords: NodeCoords, backend: str) -> Matching:
+    """The matching loop shared by both entry points.
+
+    Vertices go in bottom-up order.  A vertex matches the hit with maximum
+    ys (equivalently, minimum bottom-up rank) among its rays' hits, or,
+    with no hit, becomes free and inserts its own segment.  ``free_ys``
+    holds the ys of each free vertex's live segment, flat, so that the
+    loop keeps no per-vertex object alive.
+    """
     order = bottom_up_order(inst, coords)
     n = inst.n
-    free = FreeSet(max(coords.leaf_count, 1), n, backend)
+    index = get_index_class(backend)(max(coords.leaf_count, 1), n)
+    x, y, r = coords.x, coords.y, coords.r
+    free_ys = array("q", [0]) * (n + 1)
     pairs: list[tuple[int, int]] = []
-    segments = free.segments
     for rank, v in enumerate(order, start=1):
         best = None
-        best_ys = -1
+        best_ys = 0
         for b in inst.bottoms(v):
-            ray = build_ray(inst, coords, v, b)
-            hit = free.shoot(ray.x, ray.y_origin)
-            if hit is not None and segments[hit].ys > best_ys:
+            hit = index.shoot(x[b], ray_origin(y[b], n))
+            if hit is not None and free_ys[hit] > best_ys:
                 best = hit
-                best_ys = segments[hit].ys
+                best_ys = free_ys[hit]
         if best is not None:
-            free.remove(best)
+            index.delete(best)
             pairs.append((best, v))
         else:
-            free.add(build_segment(inst, coords, order, rank))
+            top = inst.top(v)
+            ys = free_ys[v] = segment_height(y[top], n, rank)
+            index.insert(v, x[top], r[top], ys)
     return Matching(pairs)
 
 

@@ -66,6 +66,24 @@ class TestValidate:
             inst = random_instance(seed, delta=1 + seed % 3)
             assert validate_instance(inst) == []
 
+    def test_ancestry_agrees_with_parent_walk_on_every_pair(self):
+        # max_branching=1 (every fourth size) makes a path, whose nodes all
+        # share one leaf range, so only the depth test can tell them apart
+        for size in range(1, 61):
+            tree = random_instance(
+                size, n=0, tree_nodes=size, max_branching=1 + size % 4
+            ).tree
+            pairs = [(t, b) for t in range(1, size + 1) for b in range(1, size + 1)]
+            inst = RdvInstance(tree, tuple(VertexPath(t, b) for t, b in pairs), 1)
+            expected = []
+            for v, (t, b) in enumerate(pairs, start=1):
+                node = b
+                while node and node != t:
+                    node = tree.parent(node)
+                if node != t:
+                    expected.append(f"vertex {v}: top {t} not ancestor of bottom {b}")
+            assert validate_instance(inst) == expected, f"size {size}"
+
 
 class TestBottomUpOrder:
     def test_all_tops_at_root_keeps_input_order(self):

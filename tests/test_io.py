@@ -50,6 +50,8 @@ def test_delta_line_yields_subtrees():
         ("tree 1\nparents 0\nvertices 1 1\n", 4, "end of file"),
         ("tree 1\nparents 0\nvertices 0 1\nv 1 1\n", 4, "trailing"),
         ("tree 0\nparents\nvertices 0 1\n", 1, "positive"),
+        ("", 1, "end of file"),
+        ("# only\n# comments\n", 3, "end of file"),
     ],
 )
 def test_parse_errors_name_their_line(text, line, needle):

@@ -6,11 +6,12 @@ from rdvmatch.core import (
     Matching,
     RdvInstance,
     VertexPath,
+    VertexSubtree,
     adjacency_oracle,
     bottom_up_order,
     oracle_adjacency,
 )
-from rdvmatch.gen import fixture_trampoline, fixture_trampoline_instance
+from rdvmatch.gen import fixture_trampoline, fixture_trampoline_instance, gen_dense
 from rdvmatch.geometry import assign_coordinates
 from rdvmatch.matching import (
     delayed_greedy,
@@ -29,6 +30,32 @@ def adjacency_of(edges, n):
         adj[a].append(b)
         adj[b].append(a)
     return adj
+
+
+def adversarial_instances(delta, n=200):
+    """(name, instance) pairs of extreme shapes with n vertices.
+
+    * caterpillar: spine node 2i-1 has its leaf 2i as first child, vertex
+      i is the path from one to the other; no edge, every ray misses;
+    * dense: ``gen_dense``, a deep path with ~n^2/4 edges;
+    * star: every vertex runs from the root to one leaf (two leaves when
+      ``delta`` is 2), so the graph is a clique.
+    """
+    spine = [0] * (2 * n)
+    for i in range(1, n + 1):
+        spine[2 * i - 1] = 2 * i - 1
+        if i > 1:
+            spine[2 * i - 2] = 2 * i - 3
+    caterpillar = RdvInstance(
+        HostTree(spine), tuple(VertexPath(2 * i - 1, 2 * i) for i in range(1, n + 1)), 1
+    )
+    leaves = [2 + (i + k) % n for i in range(n) for k in range(delta)]
+    star = RdvInstance(
+        HostTree([0] + [1] * n),
+        tuple(VertexSubtree(1, tuple(leaves[delta * i:delta * (i + 1)])) for i in range(n)),
+        delta,
+    )
+    return [("caterpillar", caterpillar), ("dense", gen_dense(n)), ("star", star)]
 
 
 class TestGreedyReference:
@@ -78,12 +105,15 @@ class TestDelayedGreedy:
             assert len(witness) == opt
 
     def test_equals_greedy_reference_with_same_order(self):
-        for seed in range(25):
-            inst = random_instance(seed, n=40, tree_nodes=50)
+        cases = [
+            (f"seed {seed}", random_instance(seed, n=40, tree_nodes=50))
+            for seed in range(25)
+        ]
+        for name, inst in cases + adversarial_instances(delta=1):
             coords = assign_coordinates(inst.tree)
             order = bottom_up_order(inst, coords)
             ref = greedy_reference(oracle_adjacency(inst), order)
-            assert delayed_greedy(inst) == ref, f"seed {seed}"
+            assert delayed_greedy(inst) == ref, name
 
     def test_every_pair_is_an_edge(self):
         inst = random_instance(17, n=30, tree_nodes=35)
@@ -112,12 +142,15 @@ class TestDelayedGreedyDelta:
         assert opt == 4
 
     def test_equals_greedy_reference_on_delta_instances(self):
-        for seed in range(25):
-            inst = random_instance(seed, n=30, tree_nodes=40, delta=2)
+        cases = [
+            (f"seed {seed}", random_instance(seed, n=30, tree_nodes=40, delta=2))
+            for seed in range(25)
+        ]
+        for name, inst in cases + adversarial_instances(delta=2):
             coords = assign_coordinates(inst.tree)
             order = bottom_up_order(inst, coords)
             ref = greedy_reference(oracle_adjacency(inst), order)
-            assert delayed_greedy_delta(inst) == ref, f"seed {seed}"
+            assert delayed_greedy_delta(inst) == ref, name
 
     def test_multi_ray_any_hit_equals_oracle(self):
         # per-pair form of the subtree query: some bottom ray hits the
@@ -145,6 +178,18 @@ class TestDelayedGreedyDelta:
                         segment_intersects(segs[ri - 1], q, bound) for q in rays
                     )
                     assert hit == adjacency_oracle(inst, vi, vj)
+
+
+@pytest.mark.parametrize("entry", [delayed_greedy, delayed_greedy_delta])
+@pytest.mark.parametrize(
+    "parents",
+    [[0, 0, 1], [0, 3, 2], [0, 9, 1]],
+    ids=["forest", "unreachable-cycle", "parent-out-of-range"],
+)
+def test_malformed_tree_raises_invalid_instance(entry, parents):
+    inst = RdvInstance(HostTree(parents), (VertexPath(1, 1), VertexPath(1, 3)), 1)
+    with pytest.raises(InvalidInstanceError):
+        entry(inst)
 
 
 class TestMaximumMatchingOracle:
