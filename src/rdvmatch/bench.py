@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .core import Matching, RdvInstance, adjacency_oracle, bottom_up_order, oracle_adjacency
-from .gen import GenConfig, gen_dense, gen_random
+from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
 from .matching import delayed_greedy, maximum_matching_oracle
 
@@ -149,6 +149,8 @@ def count_edges_oracle(inst: RdvInstance) -> int:
 def _bench_instance(family: str, n: int, seed: int) -> RdvInstance:
     if family == "dense":
         return gen_dense(n)
+    if family == "comb":
+        return gen_comb(n, seed)
     if family == "random":
         cfg = GenConfig(
             seed=seed, tree_nodes=n, n_vertices=n, max_branching=3, delta=1

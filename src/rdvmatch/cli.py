@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="timing sweep over doubling sizes")
-    p.add_argument("--family", choices=["dense", "random"], default="dense")
+    p.add_argument("--family", choices=["dense", "random", "comb"], default="dense")
     p.add_argument("--min-exp", type=int, default=10)
     p.add_argument("--max-exp", type=int, default=16)
     p.add_argument("--repeats", type=int, default=5)

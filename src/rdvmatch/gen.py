@@ -2,8 +2,9 @@
 
 Random instances for property sweeps, a dense family whose edge count
 grows quadratically while the tree stays linear (for growth-rate
-benchmarks), an interval-to-instance converter, and the 4-trampoline
-fixture on which ordered greedy provably underperforms.
+benchmarks), the edgeless comb that makes every ray miss, an
+interval-to-instance converter, and the 4-trampoline fixture on which
+ordered greedy provably underperforms.
 """
 
 from __future__ import annotations
@@ -106,6 +107,31 @@ def gen_dense(n: int) -> RdvInstance:
     parents = [0] + list(range(1, n))
     vertices = tuple(VertexPath((i + 1) // 2, i) for i in range(1, n + 1))
     return RdvInstance(HostTree(parents), vertices, 1)
+
+
+def gen_comb(n: int, seed: int) -> RdvInstance:
+    """Leaf-first caterpillar: n spine nodes with one leaf each.
+
+    Spine node ``s_i`` is tree node ``2i - 1`` and its leaf ``l_i`` is node
+    ``2i``, the first child of ``s_i``, so the leaf ranges of the spine
+    nodes are the suffixes ``[i, n]``.  The vertex paths ``s_i -> l_i`` are
+    pairwise disjoint: the graph has no edge, every ray misses and every
+    vertex inserts its segment, so the ray-shooting buckets grow to n.
+    The seed permutes the vertex ids.
+    """
+    if n < 1:
+        raise ValueError(f"comb family needs n >= 1, got {n}")
+    parents = [0] * (2 * n)
+    for i in range(1, n + 1):
+        if i > 1:
+            parents[2 * i - 2] = 2 * i - 3  # s_i hangs below s_{i-1}
+        parents[2 * i - 1] = 2 * i - 1  # l_i hangs below s_i
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    vertices: list[Vertex] = [VertexPath(1, 1)] * n
+    for i, v in enumerate(ids, start=1):
+        vertices[v] = VertexPath(2 * i - 1, 2 * i)
+    return RdvInstance(HostTree(parents), tuple(vertices), 1)
 
 
 def intervals_to_rdv(intervals: list[tuple[int, int]]) -> RdvInstance:

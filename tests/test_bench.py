@@ -96,6 +96,13 @@ class TestBenchSweep:
         assert [r.n for r in records] == [16, 32, 64]
         assert len(doubling_ratios(records)) == 2
 
+    def test_comb_family_is_edgeless(self):
+        records = bench_sweep("comb", range(3, 5), repeats=1)
+        assert [(r.n, r.tree_nodes, r.edges, r.matching_size) for r in records] == [
+            (8, 16, 0, 0),
+            (16, 32, 0, 0),
+        ]
+
     def test_backends_time_identical_matchings(self):
         from rdvmatch.rayshoot import available_backends
 

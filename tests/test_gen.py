@@ -7,10 +7,12 @@ from rdvmatch.gen import (
     GenConfig,
     fixture_trampoline,
     fixture_trampoline_instance,
+    gen_comb,
     gen_dense,
     gen_random,
     intervals_to_rdv,
 )
+from rdvmatch.geometry import assign_coordinates
 from rdvmatch.io import write_instance
 
 
@@ -87,6 +89,32 @@ class TestGenDense:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             gen_dense(1)
+
+
+class TestGenComb:
+    def test_no_edge(self):
+        for n in (1, 2, 9, 40):
+            inst = gen_comb(n, seed=n)
+            assert validate_instance(inst) == []
+            assert edge_count(inst) == 0
+
+    def test_spine_leaf_ranges_are_suffixes(self):
+        n = 37
+        inst = gen_comb(n, seed=5)
+        coords = assign_coordinates(inst.tree)
+        assert coords.leaf_count == n
+        tops = [inst.top(v) for v in range(1, n + 1)]
+        ranges = sorted((coords.x[t], coords.r[t]) for t in tops)
+        assert ranges == [(i, n) for i in range(1, n + 1)]
+
+    def test_seed_permutes_vertex_ids(self):
+        a, b = gen_comb(30, seed=1), gen_comb(30, seed=2)
+        assert write_instance(a) != write_instance(b)
+        assert sorted(a.vertices) == sorted(b.vertices)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            gen_comb(0, seed=1)
 
 
 class TestIntervalsToRdv:

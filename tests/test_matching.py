@@ -11,7 +11,12 @@ from rdvmatch.core import (
     bottom_up_order,
     oracle_adjacency,
 )
-from rdvmatch.gen import fixture_trampoline, fixture_trampoline_instance, gen_dense
+from rdvmatch.gen import (
+    fixture_trampoline,
+    fixture_trampoline_instance,
+    gen_comb,
+    gen_dense,
+)
 from rdvmatch.geometry import assign_coordinates
 from rdvmatch.matching import (
     delayed_greedy,
@@ -35,27 +40,41 @@ def adjacency_of(edges, n):
 def adversarial_instances(delta, n=200):
     """(name, instance) pairs of extreme shapes with n vertices.
 
-    * caterpillar: spine node 2i-1 has its leaf 2i as first child, vertex
-      i is the path from one to the other; no edge, every ray misses;
+    * caterpillar: ``gen_comb``, no edge, every ray misses and every
+      vertex inserts, so the index buckets grow to n;
+    * chain: the delete-side worst case of the ray-shooting buckets (see
+      ``chain_instance``);
     * dense: ``gen_dense``, a deep path with ~n^2/4 edges;
     * star: every vertex runs from the root to one leaf (two leaves when
       ``delta`` is 2), so the graph is a clique.
     """
-    spine = [0] * (2 * n)
-    for i in range(1, n + 1):
-        spine[2 * i - 1] = 2 * i - 1
-        if i > 1:
-            spine[2 * i - 2] = 2 * i - 3
-    caterpillar = RdvInstance(
-        HostTree(spine), tuple(VertexPath(2 * i - 1, 2 * i) for i in range(1, n + 1)), 1
-    )
     leaves = [2 + (i + k) % n for i in range(n) for k in range(delta)]
     star = RdvInstance(
         HostTree([0] + [1] * n),
         tuple(VertexSubtree(1, tuple(leaves[delta * i:delta * (i + 1)])) for i in range(n)),
         delta,
     )
-    return [("caterpillar", caterpillar), ("dense", gen_dense(n)), ("star", star)]
+    return [
+        ("caterpillar", gen_comb(n, seed=n)),
+        ("chain", chain_instance(n)),
+        ("dense", gen_dense(n)),
+        ("star", star),
+    ]
+
+
+def chain_instance(k):
+    """Path tree p_1..p_k (root p_1) with k vertices, k a multiple of 4.
+
+    The single-node vertices p_j -> p_j of the deep half, then those of the
+    quarter above it, miss and insert into the one bucket of the path's
+    single leaf.  The last k/4 vertices p_1 -> p_k each hit and delete the
+    oldest live entry of that bucket, the one every later entry was
+    inserted after.
+    """
+    deep = [VertexPath(j, j) for j in range(k // 2 + 1, k + 1)]
+    above = [VertexPath(i, i) for i in range(k // 4 + 1, k // 2 + 1)]
+    long = [VertexPath(1, k)] * (k // 4)
+    return RdvInstance(HostTree([0] + list(range(1, k))), tuple(deep + above + long), 1)
 
 
 class TestGreedyReference:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdvmatch import matching
+from rdvmatch.gen import GenConfig, gen_comb, gen_dense, gen_random
 from rdvmatch.rayshoot import available_backends, get_index_class
 
 
@@ -85,6 +87,67 @@ class TestBasics:
         idx.insert(1, 1, 4, 3)
         assert idx.shoot(0, 100) is None
         assert idx.shoot(5, 100) is None
+
+
+class TestPureHeights:
+    def test_height_zero_is_hit(self):
+        idx = get_index_class("pure")(4, 2)
+        idx.insert(1, 1, 4, 0)
+        assert idx.shoot(2, 0) == 1
+        assert idx.shoot(2, 5) == 1
+        idx.insert(2, 2, 3, 3)
+        assert idx.shoot(2, 2) == 1
+        assert idx.shoot(2, 3) == 2
+
+    def test_negative_height_rejected(self):
+        idx = get_index_class("pure")(4, 2)
+        with pytest.raises(ValueError, match="negative"):
+            idx.insert(1, 1, 4, -3)
+        assert len(idx) == 0
+        assert idx.shoot(2, 5) is None
+
+
+class _ShiftCountingBucket(list):
+    """A bucket that counts the entries each ``insert`` moves."""
+
+    moved = 0
+
+    def insert(self, pos, item):
+        _ShiftCountingBucket.moved += len(self) - pos
+        super().insert(pos, item)
+
+
+@pytest.mark.parametrize(
+    "entry, make",
+    [
+        (matching.delayed_greedy, lambda n: gen_comb(n, seed=3)),
+        (matching.delayed_greedy, gen_dense),
+        (
+            matching.delayed_greedy,
+            lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=1)),
+        ),
+        (
+            matching.delayed_greedy_delta,
+            lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=2)),
+        ),
+    ],
+    ids=["comb", "dense", "random", "random-delta2"],
+)
+def test_matching_loop_inserts_move_no_bucket_entry(monkeypatch, entry, make):
+    # the loop inserts in strictly decreasing heights, so every bucket
+    # insert of the pure index must be an append; a layout that shifts on
+    # insert moves ~n^2/2 entries on the comb
+    pure = get_index_class("pure")
+
+    class CountingIndex(pure):
+        def __init__(self, x_max, capacity):
+            super().__init__(x_max, capacity)
+            self._negs = [_ShiftCountingBucket() for _ in self._negs]
+
+    monkeypatch.setattr(matching, "get_index_class", lambda backend: CountingIndex)
+    monkeypatch.setattr(_ShiftCountingBucket, "moved", 0)
+    entry(make(4096))
+    assert _ShiftCountingBucket.moved == 0
 
 
 class TestAgainstShadow:
