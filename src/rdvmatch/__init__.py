@@ -2,8 +2,9 @@
 
 The represented graph's edges are never materialized: adjacency between a
 later and an earlier vertex reduces to an orthogonal ray-shooting query
-against the segments of free vertices, so a maximum matching costs
-O(|T| + n polylog n) on a plain instance with host tree T.
+against the segments of free vertices, which a find over the host tree
+answers, so a maximum matching costs O(|T| + n log |T|) on a plain
+instance with host tree T.
 """
 
 from .core import (
@@ -42,6 +43,7 @@ from .matching import (
     greedy_reference,
     is_simple_vertex,
     maximum_matching_oracle,
+    rayshoot_greedy,
 )
 from .rayshoot import DEFAULT_BACKEND, RayShootIndex, available_backends, get_index_class
 
@@ -77,6 +79,7 @@ __all__ = [
     "greedy_reference",
     "is_simple_vertex",
     "maximum_matching_oracle",
+    "rayshoot_greedy",
     "DEFAULT_BACKEND",
     "RayShootIndex",
     "available_backends",

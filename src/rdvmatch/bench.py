@@ -163,7 +163,6 @@ def bench_sweep(
     family: str,
     exponents: range,
     repeats: int = 5,
-    backend: str = "auto",
     seed: int = 20_26,
 ) -> list[BenchRecord]:
     """Time delayed_greedy on 2**k vertices for k in ``exponents``.
@@ -179,12 +178,12 @@ def bench_sweep(
         n = 1 << k
         inst_seed = seed + k
         inst = _bench_instance(family, n, inst_seed)
-        delayed_greedy(inst, backend=backend)  # warmup
+        delayed_greedy(inst)  # warmup
         times: list[int] = []
         size = 0
         for _ in range(repeats):
             t0 = time.perf_counter_ns()
-            matching = delayed_greedy(inst, backend=backend)
+            matching = delayed_greedy(inst)
             times.append(time.perf_counter_ns() - t0)
             size = len(matching)
         edges: int | str = (
@@ -195,7 +194,7 @@ def bench_sweep(
                 n=n,
                 tree_nodes=inst.tree.node_count,
                 edges=edges,
-                algo=f"delayed-{backend}",
+                algo="delayed",
                 median_ns=int(statistics.median(times)),
                 matching_size=size,
                 seed=inst_seed,

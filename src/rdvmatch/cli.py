@@ -20,7 +20,7 @@ from .core import (
     validate_instance,
 )
 from .gen import GenConfig, gen_dense, gen_random
-from .geometry import assign_coordinates, build_ray, build_segment
+from .geometry import build_ray, build_segment
 from .io import InstanceFormatError, load_instance, save_instance
 from .matching import (
     delayed_greedy,
@@ -28,7 +28,6 @@ from .matching import (
     greedy_reference,
     maximum_matching_oracle,
 )
-from .rayshoot import DEFAULT_BACKEND, available_backends
 
 
 def _load(path: str) -> RdvInstance:
@@ -55,11 +54,11 @@ def _cmd_match(args) -> int:
     inst = _load(args.file)
     try:
         if args.algo == "delayed":
-            matching = delayed_greedy(inst, backend=args.backend)
+            matching = delayed_greedy(inst)
         elif args.algo == "delta":
-            matching = delayed_greedy_delta(inst, backend=args.backend)
+            matching = delayed_greedy_delta(inst)
         else:  # greedy: slow reference path over materialized adjacency
-            coords = assign_coordinates(inst.tree)
+            coords = checked_coordinates(inst)
             order = bottom_up_order(inst, coords)
             matching = greedy_reference(oracle_adjacency(inst), order)
     except (InvalidInstanceError, ValueError) as exc:
@@ -116,18 +115,12 @@ def _cmd_bench(args) -> int:
                 print(f"crosscheck {k} FAILED [{entry.name}]: {entry.detail}", file=sys.stderr)
         print(f"crosscheck: {args.crosscheck - failures}/{args.crosscheck} passed", file=sys.stderr)
 
-    backends = available_backends() if args.backend == "both" else [args.backend]
-    records = []
-    for backend in backends:
-        records.extend(
-            bench_mod.bench_sweep(
-                args.family,
-                range(args.min_exp, args.max_exp + 1),
-                repeats=args.repeats,
-                backend=backend,
-                seed=args.seed,
-            )
-        )
+    records = bench_mod.bench_sweep(
+        args.family,
+        range(args.min_exp, args.max_exp + 1),
+        repeats=args.repeats,
+        seed=args.seed,
+    )
     _emit(args.output, bench_mod.records_to_csv(records, args.repeats))
     return 1 if failures else 0
 
@@ -179,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo", choices=["delayed", "greedy", "delta"], default="delayed"
     )
-    p.add_argument(
-        "--backend",
-        choices=["auto", *available_backends()],
-        default="auto",
-        help=f"ray-shooting backend (auto = {DEFAULT_BACKEND})",
-    )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_match)
 
@@ -209,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int, default=16)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=20_26)
-    p.add_argument(
-        "--backend",
-        choices=["auto", "both", *available_backends()],
-        default="auto",
-    )
     p.add_argument(
         "--crosscheck",
         type=int,

@@ -29,10 +29,13 @@ segments at equal depth the maximum ys belongs to the minimum rank.
 makes: validation reads ancestry from its output
 (:func:`rdvmatch.core.checked_coordinates`) and the matching loop reads
 the same arrays.  The perturbation is written once, in
-:func:`segment_height` and :func:`ray_origin`; the matching loop passes
-their values straight to the index, while :class:`HSegment` and
-:class:`RayQuery` are the per-vertex view used by the ``rdvmatch
-segments`` dump and the tests.
+:func:`segment_height` and :func:`ray_origin`.  The reference loop
+:func:`rdvmatch.matching.rayshoot_greedy` passes their values straight to
+a ray-shooting index; the fast loop answers the same shots with a find
+over the host tree, whose leaf ranges are the segments' x-ranges, and
+keeps :func:`segment_height` only to rank the hits of several rays.
+:class:`HSegment` and :class:`RayQuery` are the per-vertex view used by
+the ``rdvmatch segments`` dump and the tests.
 """
 
 from __future__ import annotations

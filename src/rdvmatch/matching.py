@@ -1,20 +1,24 @@
 """Matching algorithms over clique-tree path representations.
 
-Three routes to a matching:
+Four routes to a matching:
 
 * :func:`greedy_reference` is the textbook greedy scan over explicit
-  neighbor lists, the reference both faster routes must reproduce.
+  neighbor lists, the reference every faster route must reproduce.
+* :func:`rayshoot_greedy` is the paper's reduction: vertices go in
+  bottom-up order, free vertices live as horizontal segments in a
+  general ray-shooting index, and each vertex shoots one upward ray per
+  bottom node.  It is kept as the reference for the fast loop.
 * :func:`delayed_greedy_delta` runs the same greedy without ever
-  materializing edges.  One traversal of the host tree yields the node
-  coordinates, which both validate the instance and place the vertices;
-  vertices are then processed in bottom-up order, free vertices live as
-  horizontal segments in a ray-shooting index, and each vertex shoots one
-  upward ray per bottom node.  For delta > 1 the greedy itself is no
-  longer guaranteed to be maximum (the 4-trampoline fixture is the
-  standard witness).
+  materializing edges or touching that index.  One traversal of the
+  host tree yields the node coordinates, which both validate the
+  instance and place the vertices; each ray is then answered by a
+  nearest-free-ancestor find over the host tree itself (see
+  :func:`_shoot_greedy`).  For delta > 1 the greedy itself is no longer
+  guaranteed to be maximum (the 4-trampoline fixture is the standard
+  witness).
 * :func:`delayed_greedy` is the delta = 1 case of that one loop: one ray
   per vertex, and on plain instances a maximum matching in
-  O(|T| + n * polylog n) time.
+  O(|T| + n log |T|) time.
 
 :func:`maximum_matching_oracle` provides an exact exponential-time answer
 for cross-checking at small sizes.
@@ -56,7 +60,7 @@ def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
     return Matching(pairs)
 
 
-def delayed_greedy(inst: RdvInstance, backend: str = "auto") -> Matching:
+def delayed_greedy(inst: RdvInstance) -> Matching:
     """Maximum matching of a plain instance without touching its edges.
 
     The delta = 1 case of :func:`delayed_greedy_delta`: one ray per
@@ -65,28 +69,89 @@ def delayed_greedy(inst: RdvInstance, backend: str = "auto") -> Matching:
     coords = checked_coordinates(inst)
     if inst.delta != 1:
         raise ValueError("delayed_greedy requires a plain instance (delta=1)")
-    return _shoot_greedy(inst, coords, backend)
+    return _shoot_greedy(inst, coords)
 
 
-def delayed_greedy_delta(inst: RdvInstance, backend: str = "auto") -> Matching:
+def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     """Greedy matching for instances whose vertices have up to delta
     bottoms: shoot one ray per bottom, keep the hit with maximum ys.
 
     Maximal for the processing order, but not necessarily maximum once
     delta exceeds 1.
     """
-    return _shoot_greedy(inst, checked_coordinates(inst), backend)
+    return _shoot_greedy(inst, checked_coordinates(inst))
 
 
-def _shoot_greedy(inst: RdvInstance, coords: NodeCoords, backend: str) -> Matching:
+def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     """The matching loop shared by both entry points.
 
     Vertices go in bottom-up order.  A vertex matches the hit with maximum
     ys (equivalently, minimum bottom-up rank) among its rays' hits, or,
-    with no hit, becomes free and inserts its own segment.  ``free_ys``
-    holds the ys of each free vertex's live segment, flat, so that the
-    loop keeps no per-vertex object alive.
+    with no hit, becomes free and joins the queue of its top node.
+
+    The host tree is its own segment tree.  A free vertex's segment spans
+    the leaf range of its top node t, and its height orders it first by
+    the depth of t, then by rank.  Every free vertex's top is at least as
+    deep as the current vertex's top, so the ray from bottom b hits
+    exactly the free vertices whose top is an ancestor-or-self of b, and
+    the hit with maximum ys is the front of the queue of the nearest
+    ancestor-or-self of b that holds one.  Queues are FIFO in rank order
+    (``head``/``tail`` per node, ``nxt`` per vertex).  A node deeper than
+    the current top that holds no free vertex never gets one again, so
+    it links to its parent (``link``), and a shot is a find with path
+    halving that stops at a node holding a free vertex or not deeper than
+    the current top: O(log |T|) amortized per ray, as path halving
+    without ranks guarantees.
     """
+    order = bottom_up_order(inst, coords)
+    n = inst.n
+    y = coords.y
+    parent = (0, *inst.tree.parents())
+    link = list(range(len(parent)))
+    head = [0] * len(parent)
+    tail = [0] * len(parent)
+    nxt = [0] * (n + 1)
+    free_ys = [0] * (n + 1)
+    pairs: list[tuple[int, int]] = []
+    for rank, v in enumerate(order, start=1):
+        top = inst.top(v)
+        depth = y[top]
+        best = best_node = best_ys = 0
+        for u in inst.bottoms(v):
+            while not head[u] and y[u] > depth:
+                # u stays empty for good: link it to its parent on the
+                # first visit, later halve the path through its link
+                w = link[u]
+                w = link[u] = parent[u] if w == u else link[w]
+                u = w
+            hit = head[u]
+            if hit and free_ys[hit] > best_ys:
+                best = hit
+                best_ys = free_ys[hit]
+                best_node = u
+        if best:
+            head[best_node] = nxt[best]
+            pairs.append((best, v))
+        else:
+            free_ys[v] = segment_height(depth, n, rank)
+            if head[top]:
+                nxt[tail[top]] = v
+            else:
+                head[top] = v
+            tail[top] = v
+    return Matching(pairs)
+
+
+def rayshoot_greedy(inst: RdvInstance, backend: str = "auto") -> Matching:
+    """The paper's reduction, kept as the reference for the fast loop.
+
+    The same greedy as :func:`delayed_greedy_delta`, with the free
+    vertices held as horizontal segments in a general ray-shooting index
+    of the chosen backend; each vertex shoots one upward ray per bottom
+    node.  ``free_ys`` holds the ys of each free vertex's live segment,
+    flat, so that the loop keeps no per-vertex object alive.
+    """
+    coords = checked_coordinates(inst)
     order = bottom_up_order(inst, coords)
     n = inst.n
     index = get_index_class(backend)(max(coords.leaf_count, 1), n)

@@ -7,6 +7,7 @@ the growth-ratio gate, whose threshold is fixed at 2.8x per doubling.
 """
 
 import random
+import sys
 
 from rdvmatch.bench import bench_sweep, doubling_ratios
 from rdvmatch.core import (
@@ -16,7 +17,7 @@ from rdvmatch.core import (
     oracle_adjacency,
     validate_instance,
 )
-from rdvmatch.gen import GenConfig, fixture_trampoline, gen_random
+from rdvmatch.gen import GenConfig, fixture_trampoline, gen_comb, gen_dense, gen_random
 from rdvmatch.geometry import (
     assign_coordinates,
     build_ray,
@@ -32,6 +33,8 @@ from rdvmatch.matching import (
     maximum_matching_oracle,
 )
 from rdvmatch.rayshoot import available_backends, get_index_class
+
+from test_matching import chain_instance
 
 
 def _mixed_instance(seed, n_max, delta=1, tree_factor=2):
@@ -184,6 +187,59 @@ def test_c6_dense_family_growth_ratio():
     )
     pretty = ", ".join(f"{r:.2f}" for r in ratios)
     print(f"ACCEPTANCE C6 quasi-linear growth on dense family: PASS (ratios {pretty})")
+
+
+def _line_events(solve, inst):
+    """Python line events executed by ``solve(inst)``."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        solve(inst)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_c6b_line_event_growth_ratio():
+    """C6b: line events of delayed_greedy grow <= 2.25x per doubling of n.
+
+    The machine-independent twin of C6.  The families are the shapes
+    where a find without skip pointers would climb long runs of empty
+    nodes (dense, chain and a random path tree) plus the edgeless comb
+    and a typical random tree.
+    """
+    families = {
+        "comb": lambda n: gen_comb(n, seed=n),
+        "chain": chain_instance,
+        "dense": gen_dense,
+        "random": lambda n: gen_random(
+            GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=3)
+        ),
+        "path": lambda n: gen_random(
+            GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1)
+        ),
+    }
+    worst = 0.0
+    for name, make in families.items():
+        counts = [_line_events(delayed_greedy, make(1 << k)) for k in range(10, 14)]
+        ratios = [b / a for a, b in zip(counts, counts[1:])]
+        assert all(r <= 2.25 for r in ratios), (
+            f"{name}: line-event ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
+            f"counts {counts}"
+        )
+        worst = max(worst, *ratios)
+    print(
+        "ACCEPTANCE C6b line-event growth: PASS "
+        f"({len(families)} families, n = 2^10..2^13, worst ratio {worst:.2f})"
+    )
 
 
 def test_c7_bottom_up_peeling_is_simple():

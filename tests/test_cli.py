@@ -72,6 +72,22 @@ class TestMatch:
         with pytest.raises(SystemExit):
             run(capsys, "match", "--algo", "delayed", trampoline_file)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tree 2\nparents 0 1\nvertices 2 1\nv 5 5\nv 1 2\n",
+            "tree 3\nparents 0 1 1\nvertices 2 1\nv 2 3\nv 1 2\n",
+        ],
+        ids=["node-out-of-range", "top-not-ancestor"],
+    )
+    @pytest.mark.parametrize("algo", ["delayed", "greedy", "delta"])
+    def test_invalid_instance_rejected(self, capsys, tmp_path, text, algo):
+        path = tmp_path / "bad.rdv"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "match", "--algo", algo, str(path))
+        assert str(exc.value).startswith("error: invalid instance")
+
     def test_output_file(self, capsys, k2_file, tmp_path):
         out_path = tmp_path / "m.txt"
         code, out, _ = run(capsys, "match", k2_file, "-o", str(out_path))
@@ -154,20 +170,6 @@ class TestBench:
         )
         assert code == 0
         assert "5/5 passed" in err
-
-    def test_backend_both_labels_rows(self, capsys, tmp_path):
-        from rdvmatch.rayshoot import available_backends
-
-        out_csv = tmp_path / "bench.csv"
-        code, _, _ = run(
-            capsys,
-            "bench", "--family", "dense", "--min-exp", "3", "--max-exp", "3",
-            "--repeats", "1", "--backend", "both", "-o", str(out_csv),
-        )
-        assert code == 0
-        text = out_csv.read_text()
-        for backend in available_backends():
-            assert f"delayed-{backend}" in text
 
 
 class TestErrors:

@@ -12,10 +12,12 @@ from rdvmatch.core import (
     oracle_adjacency,
 )
 from rdvmatch.gen import (
+    GenConfig,
     fixture_trampoline,
     fixture_trampoline_instance,
     gen_comb,
     gen_dense,
+    gen_random,
 )
 from rdvmatch.geometry import assign_coordinates
 from rdvmatch.matching import (
@@ -24,6 +26,7 @@ from rdvmatch.matching import (
     greedy_reference,
     is_simple_vertex,
     maximum_matching_oracle,
+    rayshoot_greedy,
 )
 
 from conftest import random_instance
@@ -139,13 +142,6 @@ class TestDelayedGreedy:
         for i, j in delayed_greedy(inst).edges():
             assert adjacency_oracle(inst, i, j)
 
-    def test_backends_agree(self):
-        inst = random_instance(23, n=50, tree_nodes=60)
-        from rdvmatch.rayshoot import available_backends
-
-        results = {b: delayed_greedy(inst, backend=b) for b in available_backends()}
-        assert len(set(map(lambda m: tuple(m.edges()), results.values()))) == 1
-
 
 class TestDelayedGreedyDelta:
     def test_plain_instances_degenerate_to_delayed(self):
@@ -197,6 +193,30 @@ class TestDelayedGreedyDelta:
                         segment_intersects(segs[ri - 1], q, bound) for q in rays
                     )
                     assert hit == adjacency_oracle(inst, vi, vj)
+
+
+def test_fast_loop_equals_rayshoot_reference(backend):
+    # the tree find must reproduce the paper's ray-shooting reduction on
+    # every backend, adversarial shapes included
+    n = 4096
+    cases = [
+        (f"{name} delta={delta}", inst)
+        for delta in (1, 2)
+        for name, inst in adversarial_instances(delta, n)
+        if inst.delta == delta  # only the star differs between the two
+    ]
+    cases += [
+        (
+            f"random delta={delta}",
+            gen_random(GenConfig(seed=delta, tree_nodes=n, n_vertices=n, delta=delta)),
+        )
+        for delta in (1, 2, 3)
+    ]
+    for name, inst in cases:
+        ref = rayshoot_greedy(inst, backend)
+        assert delayed_greedy_delta(inst) == ref, name
+        if inst.delta == 1:
+            assert delayed_greedy(inst) == ref, name
 
 
 @pytest.mark.parametrize("entry", [delayed_greedy, delayed_greedy_delta])

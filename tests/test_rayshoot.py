@@ -118,25 +118,19 @@ class _ShiftCountingBucket(list):
 
 
 @pytest.mark.parametrize(
-    "entry, make",
+    "make",
     [
-        (matching.delayed_greedy, lambda n: gen_comb(n, seed=3)),
-        (matching.delayed_greedy, gen_dense),
-        (
-            matching.delayed_greedy,
-            lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=1)),
-        ),
-        (
-            matching.delayed_greedy_delta,
-            lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=2)),
-        ),
+        lambda n: gen_comb(n, seed=3),
+        gen_dense,
+        lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=1)),
+        lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=2)),
     ],
     ids=["comb", "dense", "random", "random-delta2"],
 )
-def test_matching_loop_inserts_move_no_bucket_entry(monkeypatch, entry, make):
-    # the loop inserts in strictly decreasing heights, so every bucket
-    # insert of the pure index must be an append; a layout that shifts on
-    # insert moves ~n^2/2 entries on the comb
+def test_matching_loop_inserts_move_no_bucket_entry(monkeypatch, make):
+    # the reference loop inserts in strictly decreasing heights, so every
+    # bucket insert of the pure index must be an append; a layout that
+    # shifts on insert moves ~n^2/2 entries on the comb
     pure = get_index_class("pure")
 
     class CountingIndex(pure):
@@ -146,7 +140,7 @@ def test_matching_loop_inserts_move_no_bucket_entry(monkeypatch, entry, make):
 
     monkeypatch.setattr(matching, "get_index_class", lambda backend: CountingIndex)
     monkeypatch.setattr(_ShiftCountingBucket, "moved", 0)
-    entry(make(4096))
+    matching.rayshoot_greedy(make(4096))
     assert _ShiftCountingBucket.moved == 0
 
 
