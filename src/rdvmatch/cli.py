@@ -21,7 +21,7 @@ from .core import (
 )
 from .gen import GenConfig, gen_dense, gen_random
 from .geometry import build_ray, build_segment
-from .io import InstanceFormatError, load_instance, save_instance
+from .io import InstanceFormatError, load_instance, write_instance
 from .matching import (
     delayed_greedy,
     delayed_greedy_delta,
@@ -33,8 +33,10 @@ from .matching import (
 def _load(path: str) -> RdvInstance:
     try:
         return load_instance(path)
-    except FileNotFoundError:
-        raise SystemExit(f"error: cannot open {path}")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot open {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: {path}: not UTF-8 text (byte {exc.start})")
     except InstanceFormatError as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
@@ -81,24 +83,29 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.dense:
-        inst = gen_dense(args.vertices)
-    else:
-        cfg = GenConfig(
-            seed=args.seed,
-            tree_nodes=args.tree_nodes,
-            n_vertices=args.vertices,
-            max_branching=args.max_branching,
-            delta=args.delta,
-        )
-        inst = gen_random(cfg)
-    save_instance(inst, args.output)
+    try:
+        if args.dense:
+            inst = gen_dense(args.vertices)
+        else:
+            cfg = GenConfig(
+                seed=args.seed,
+                tree_nodes=args.tree_nodes,
+                n_vertices=args.vertices,
+                max_branching=args.max_branching,
+                delta=args.delta,
+            )
+            inst = gen_random(cfg)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    _emit(args.output, write_instance(inst))
     return 0
 
 
 def _cmd_bench(args) -> int:
     if args.max_exp < args.min_exp:
         raise SystemExit("error: --max-exp must be >= --min-exp")
+    if args.repeats < 1:
+        raise SystemExit("error: --repeats must be at least 1")
     failures = 0
     if args.crosscheck:
         for k in range(args.crosscheck):
@@ -150,8 +157,11 @@ def _cmd_segments(args) -> int:
 
 def _emit(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

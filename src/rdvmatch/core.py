@@ -13,6 +13,7 @@ per-node arrays have length ``node_count + 1`` with slot 0 unused.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -47,6 +48,10 @@ class HostTree:
     Construction is permissive (out-of-range parents, several roots and
     cycles are representable) so that :func:`validate_instance` can report
     violations instead of crashing.
+
+    The package's per-node loops index the tables ``_parent`` (slot 0
+    holds 0) and ``_children`` directly instead of calling
+    :meth:`parent` and :meth:`children` once per node.
     """
 
     __slots__ = ("node_count", "_parent", "_children")
@@ -54,14 +59,20 @@ class HostTree:
     def __init__(self, parents: Sequence[int]):
         n = len(parents)
         self.node_count = n
-        par = [0] * (n + 1)
-        kids: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, p in enumerate(parents, start=1):
-            par[i] = p
+        par = self._parent = (0, *parents)
+        # children grouped by parent, in file order within each group (the
+        # sort is stable); slicing that one tuple builds the table without
+        # a temporary list per node
+        counts = Counter(parents)
+        by_parent = tuple(sorted(range(1, n + 1), key=par.__getitem__))
+        kids: list[tuple[int, ...]] = [()] * (n + 1)
+        start = 0
+        for p in sorted(counts):
+            end = start + counts[p]
             if 1 <= p <= n:
-                kids[p].append(i)
-        self._parent = tuple(par)
-        self._children = tuple(tuple(c) for c in kids)
+                kids[p] = by_parent[start:end]
+            start = end
+        self._children = tuple(kids)
 
     def parent(self, node: int) -> int:
         """Parent id of ``node``, or 0 for a root."""
@@ -79,10 +90,9 @@ class HostTree:
 
     @property
     def root(self) -> int:
-        roots = self.roots()
-        if len(roots) != 1:
-            raise ValueError(f"tree has {len(roots)} roots, expected exactly one")
-        return roots[0]
+        if self._parent.count(0) != 2:  # slot 0 and the one root
+            raise ValueError(f"tree has {len(self.roots())} roots, expected exactly one")
+        return self._parent.index(0, 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HostTree) and self._parent == other._parent
@@ -217,21 +227,24 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
     """
     tree = inst.tree
     n_nodes = tree.node_count
+    parent = tree._parent
     violations: list[str] = []
 
     if n_nodes < 1:
         return ["tree has no nodes"], None
 
-    for i in range(1, n_nodes + 1):
-        p = tree.parent(i)
-        if p != 0 and not (1 <= p <= n_nodes):
-            violations.append(f"node {i}: parent {p} out of range 1..{n_nodes}")
+    # slot 0 holds 0, so it changes neither bound
+    if min(parent) < 0 or max(parent) > n_nodes:
+        for i in range(1, n_nodes + 1):
+            p = parent[i]
+            if p != 0 and not (1 <= p <= n_nodes):
+                violations.append(f"node {i}: parent {p} out of range 1..{n_nodes}")
 
-    roots = tree.roots()
-    if len(roots) == 0:
+    n_roots = parent.count(0) - 1
+    if n_roots == 0:
         violations.append("no root: every node has a parent (cycle)")
-    elif len(roots) > 1:
-        violations.append("multiple roots: nodes " + ", ".join(map(str, roots)))
+    elif n_roots > 1:
+        violations.append("multiple roots: nodes " + ", ".join(map(str, tree.roots())))
 
     coords = None
     if not violations:
@@ -243,14 +256,26 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
             )
             coords = None
 
-    if inst.delta < 1:
-        violations.append(f"delta must be at least 1, got {inst.delta}")
+    delta = inst.delta
+    if delta < 1:
+        violations.append(f"delta must be at least 1, got {delta}")
 
     if coords is not None:
         x, y, r = coords.x, coords.y, coords.r
-    for v in range(1, inst.n + 1):
-        top = inst.top(v)
-        bottoms = inst.bottoms(v)
+    for v, vert in enumerate(inst.vertices, start=1):
+        top = vert[0]
+        if isinstance(vert, VertexPath):
+            b = vert[1]
+            if 1 <= top <= n_nodes and 1 <= b <= n_nodes and delta >= 1:
+                # a single bottom in range: only its ancestry can fail
+                if coords is not None and not (
+                    x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]
+                ):
+                    violations.append(f"vertex {v}: top {top} not ancestor of bottom {b}")
+                continue
+            bottoms: tuple[int, ...] = (b,)
+        else:
+            bottoms = vert[1]
         ids_ok = True
         for node in (top, *bottoms):
             if not (1 <= node <= n_nodes):
@@ -259,13 +284,13 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
         if len(bottoms) == 0:
             violations.append(f"vertex {v}: no bottom nodes")
             continue
-        if inst.delta == 1 and len(bottoms) != 1:
+        if delta == 1 and len(bottoms) != 1:
             violations.append(
                 f"vertex {v}: {len(bottoms)} bottoms but delta=1 requires exactly one"
             )
-        elif len(bottoms) > inst.delta:
+        elif len(bottoms) > delta:
             violations.append(
-                f"vertex {v}: {len(bottoms)} bottoms exceeds delta={inst.delta}"
+                f"vertex {v}: {len(bottoms)} bottoms exceeds delta={delta}"
             )
         if coords is not None and ids_ok:
             for b in bottoms:
@@ -280,22 +305,27 @@ def bottom_up_order(inst: RdvInstance, coords) -> list[int]:
     """Vertices sorted by decreasing depth of their top node.
 
     Ties are broken by ascending vertex id, which makes the order (and
-    everything downstream of it) reproducible.  Bucket sort over depth
+    everything downstream of it) reproducible.  Counting sort over depth
     values, linear in tree size plus vertex count.
 
     ``coords`` comes from :func:`rdvmatch.geometry.assign_coordinates`.
     """
-    n = inst.n
-    if n == 0:
-        return []
     depth_of = coords.y
-    max_depth = max(depth_of[inst.top(v)] for v in range(1, n + 1))
-    buckets: list[list[int]] = [[] for _ in range(max_depth + 1)]
-    for v in range(1, n + 1):
-        buckets[depth_of[inst.top(v)]].append(v)
-    out: list[int] = []
-    for d in range(max_depth, -1, -1):
-        out.extend(buckets[d])
+    depths = [depth_of[vert[0]] for vert in inst.vertices]
+    if not depths:
+        return []
+    # counting sort with no list per depth: first count each depth, then
+    # turn the counts into the next free slot of each depth, deepest first
+    slot_of = [0] * (max(depths) + 1)
+    for d in depths:
+        slot_of[d] += 1
+    slot = 0
+    for d in range(len(slot_of) - 1, -1, -1):
+        slot, slot_of[d] = slot + slot_of[d], slot
+    out = [0] * len(depths)
+    for v, d in enumerate(depths, start=1):
+        out[slot_of[d]] = v
+        slot_of[d] += 1
     return out
 
 

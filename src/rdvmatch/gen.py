@@ -57,15 +57,7 @@ def gen_random(cfg: GenConfig) -> RdvInstance:
 
     vertices: list[Vertex] = []
     if cfg.delta == 1:
-        for _ in range(cfg.n_vertices):
-            bottom = rng.randint(1, cfg.tree_nodes)
-            chain = [bottom]
-            node = bottom
-            while tree.parent(node) != 0:
-                node = tree.parent(node)
-                chain.append(node)
-            top = chain[rng.randrange(len(chain))]
-            vertices.append(VertexPath(top, bottom))
+        vertices.extend(_plain_vertices(tree, cfg.n_vertices, rng))
     else:
         descendants = _descendant_lists(tree)
         for _ in range(cfg.n_vertices):
@@ -79,6 +71,46 @@ def gen_random(cfg: GenConfig) -> RdvInstance:
                     bottoms.append(b)
             vertices.append(VertexSubtree(top, tuple(bottoms)))
     return RdvInstance(tree, tuple(vertices), cfg.delta)
+
+
+def _plain_vertices(tree: HostTree, n: int, rng: random.Random) -> list[VertexPath]:
+    """``n`` vertices, each a uniform bottom node below a uniform
+    ancestor-or-self of it as top.
+
+    The depth of each vertex's top is drawn first; one preorder pass then
+    resolves every top at once from the path of ancestors of the node it
+    visits.  Linear in tree size plus n, however deep the tree.  Nodes
+    must be numbered after their parents.
+    """
+    node_count = tree.node_count
+    parent = tree._parent
+    depth = [0] * (node_count + 1)
+    for node in range(2, node_count + 1):
+        depth[node] = depth[parent[node]] + 1
+
+    bottoms = [0] * n
+    top_depth = [0] * n
+    first = [-1] * (node_count + 1)  # vertices sharing a bottom, linked
+    nxt = [-1] * n
+    for v in range(n):
+        b = bottoms[v] = rng.randint(1, node_count)
+        top_depth[v] = depth[b] - rng.randrange(depth[b] + 1)
+        nxt[v] = first[b]
+        first[b] = v
+
+    tops = [0] * n
+    path = [0] * (max(depth) + 1)  # path[d]: ancestor at depth d of node
+    children = tree._children
+    stack = [1]
+    while stack:
+        node = stack.pop()
+        path[depth[node]] = node
+        v = first[node]
+        while v >= 0:
+            tops[v] = path[top_depth[v]]
+            v = nxt[v]
+        stack.extend(children[node])
+    return [VertexPath(t, b) for t, b in zip(tops, bottoms)]
 
 
 def _descendant_lists(tree: HostTree) -> list[list[int]]:

@@ -78,8 +78,9 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     """Compute x, y, r for every node in one pass over the tree.
 
     Iterative traversal (host trees can be deep paths, so no recursion).
-    Leaves are numbered in their left-to-right traversal order; an
-    internal node inherits x from its first child and r from its last.
+    Leaves are numbered in their left-to-right traversal order; a node's
+    x is the number of the next leaf when it is entered, and its r the
+    last leaf numbered when it is left.
     The tree needs exactly one root; nodes it does not reach (a parent
     cycle) keep ``x == 0``, which is how validation finds them.
     """
@@ -87,30 +88,28 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     x = [0] * (n + 1)
     y = [0] * (n + 1)
     r = [0] * (n + 1)
-    root = tree.root
+    children = tree._children
 
-    preorder: list[int] = []
-    stack = [root]
-    leaf_count = 0
+    # depth-first, children left to right; an internal node also pushes
+    # its exit mark ~node, popped once its whole subtree is numbered
+    stack = [tree.root]
+    leaf_count = depth = 0
     while stack:
         node = stack.pop()
-        preorder.append(node)
-        kids = tree.children(node)
+        if node < 0:
+            r[~node] = leaf_count
+            depth -= 1
+            continue
+        y[node] = depth
+        x[node] = leaf_count + 1
+        kids = children[node]
         if kids:
-            d = y[node] + 1
-            for c in kids:
-                y[c] = d
+            stack.append(~node)
             stack.extend(reversed(kids))
+            depth += 1
         else:
             leaf_count += 1
-            x[node] = r[node] = leaf_count
-
-    # children finish before parents in reversed preorder
-    for node in reversed(preorder):
-        kids = tree.children(node)
-        if kids:
-            x[node] = x[kids[0]]
-            r[node] = r[kids[-1]]
+            r[node] = leaf_count
 
     return NodeCoords(tuple(x), tuple(y), tuple(r), leaf_count)
 

@@ -7,9 +7,10 @@
     vertices <n> <delta>
     v <t_id> <b_1> [<b_2> ... <b_k>]  # one line per vertex, in id order
 
-Records are whitespace-separated decimal integers, one record per line;
-``#`` starts a comment.  Writing is canonical: identical instances
-serialize to identical bytes.
+Records are whitespace-separated integers as ``int()`` reads them, one
+record per line (``str.splitlines`` decides where lines end); ``#``
+starts a comment.  Writing is canonical: identical instances serialize
+to identical bytes.
 """
 
 from __future__ import annotations
@@ -28,41 +29,28 @@ class InstanceFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-class _Records:
-    """Comment-stripped token records with their source line numbers."""
-
-    def __init__(self, text: str):
-        self.records: list[tuple[int, list[str]]] = []
-        lineno = 0
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            tokens = body.split()
-            if tokens:
-                self.records.append((lineno, tokens))
-        self.pos = 0
-        self.last_line = lineno
-
-    def next(self, expected: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.records):
-            raise InstanceFormatError(
-                self.last_line + 1, f"unexpected end of file, expected '{expected}' record"
-            )
-        rec = self.records[self.pos]
-        self.pos += 1
-        return rec
-
-    def done(self) -> bool:
-        return self.pos >= len(self.records)
+def _int_error(lineno: int, tokens: list[str]) -> InstanceFormatError:
+    """The error naming the first of ``tokens`` that is not an integer
+    (callers have seen ``int()`` reject one of them)."""
+    for t in tokens:
+        try:
+            int(t)
+        except ValueError:
+            break
+    return InstanceFormatError(lineno, f"expected integer, got {t!r}")
 
 
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
-    out = []
-    for t in tokens:
-        try:
-            out.append(int(t))
-        except ValueError:
-            raise InstanceFormatError(lineno, f"expected integer, got {t!r}") from None
-    return out
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise _int_error(lineno, tokens) from None
+
+
+def _end_of_file(lines: list[str], expected: str) -> InstanceFormatError:
+    return InstanceFormatError(
+        len(lines) + 1, f"unexpected end of file, expected '{expected}' record"
+    )
 
 
 def parse_instance(text: str) -> RdvInstance:
@@ -71,17 +59,30 @@ def parse_instance(text: str) -> RdvInstance:
 
     Only syntax is enforced here; semantic problems (bad ancestry, bottom
     counts over delta) are left for ``validate_instance`` to report.
-    """
-    recs = _Records(text)
 
-    lineno, tokens = recs.next("tree")
+    One pass over the lines, keeping no per-line record: each record is
+    split and converted as it is reached.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    numbered = enumerate(lines, start=1)
+
+    def record(expected: str) -> tuple[int, list[str]]:
+        for lineno, line in numbered:
+            tokens = line.split()
+            if tokens:
+                return lineno, tokens
+        raise _end_of_file(lines, expected)
+
+    lineno, tokens = record("tree")
     if tokens[0] != "tree" or len(tokens) != 2:
         raise InstanceFormatError(lineno, "expected 'tree <N>'")
     (n_nodes,) = _ints(lineno, tokens[1:])
     if n_nodes < 1:
         raise InstanceFormatError(lineno, f"node count must be positive, got {n_nodes}")
 
-    lineno, tokens = recs.next("parents")
+    lineno, tokens = record("parents")
     if tokens[0] != "parents":
         raise InstanceFormatError(lineno, "expected 'parents <p_1> ... <p_N>'")
     parents = _ints(lineno, tokens[1:])
@@ -90,28 +91,38 @@ def parse_instance(text: str) -> RdvInstance:
             lineno, f"expected {n_nodes} parent entries, got {len(parents)}"
         )
 
-    lineno, tokens = recs.next("vertices")
+    lineno, tokens = record("vertices")
     if tokens[0] != "vertices" or len(tokens) != 3:
         raise InstanceFormatError(lineno, "expected 'vertices <n> <delta>'")
     n_vertices, delta = _ints(lineno, tokens[1:])
     if n_vertices < 0:
         raise InstanceFormatError(lineno, f"vertex count must be >= 0, got {n_vertices}")
 
+    # vertex records are the bulk of a file, so their loop is inlined.
+    # A single bottom under delta = 1 makes a VertexPath, anything else a
+    # VertexSubtree; tuple.__new__ builds the same tuples as the
+    # NamedTuples' own __new__, which is Python code
+    new = tuple.__new__
     vertices: list[Vertex] = []
-    for _ in range(n_vertices):
-        lineno, tokens = recs.next("v")
+    append = vertices.append
+    for lineno, line in numbered:
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(vertices) == n_vertices:
+            raise InstanceFormatError(lineno, f"unexpected trailing record {tokens[0]!r}")
         if tokens[0] != "v" or len(tokens) < 3:
             raise InstanceFormatError(lineno, "expected 'v <t_id> <b_1> [...]'")
-        ids = _ints(lineno, tokens[1:])
-        top, bottoms = ids[0], ids[1:]
-        if delta == 1 and len(bottoms) == 1:
-            vertices.append(VertexPath(top, bottoms[0]))
-        else:
-            vertices.append(VertexSubtree(top, tuple(bottoms)))
-
-    if not recs.done():
-        lineno, tokens = recs.records[recs.pos]
-        raise InstanceFormatError(lineno, f"unexpected trailing record {tokens[0]!r}")
+        try:
+            if delta == 1 and len(tokens) == 3:
+                append(new(VertexPath, (int(tokens[1]), int(tokens[2]))))
+            else:
+                ids = list(map(int, tokens[1:]))
+                append(new(VertexSubtree, (ids[0], tuple(ids[1:]))))
+        except ValueError:
+            raise _int_error(lineno, tokens[1:]) from None
+    if len(vertices) < n_vertices:
+        raise _end_of_file(lines, "v")
 
     return RdvInstance(HostTree(parents), tuple(vertices), delta)
 

@@ -28,7 +28,13 @@ from __future__ import annotations
 
 from array import array
 
-from .core import Matching, RdvInstance, bottom_up_order, checked_coordinates
+from .core import (
+    Matching,
+    RdvInstance,
+    VertexPath,
+    bottom_up_order,
+    checked_coordinates,
+)
 from .geometry import NodeCoords, ray_origin, segment_height
 from .rayshoot import get_index_class
 
@@ -104,25 +110,27 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     without ranks guarantees.
     """
     order = bottom_up_order(inst, coords)
-    n = inst.n
+    vertices = inst.vertices
+    n = len(vertices)
     y = coords.y
-    parent = (0, *inst.tree.parents())
-    link = list(range(len(parent)))
+    parent = inst.tree._parent
+    link = [0] * len(parent)  # 0 until the node is linked
     head = [0] * len(parent)
     tail = [0] * len(parent)
     nxt = [0] * (n + 1)
     free_ys = [0] * (n + 1)
     pairs: list[tuple[int, int]] = []
     for rank, v in enumerate(order, start=1):
-        top = inst.top(v)
+        vert = vertices[v - 1]
+        top = vert[0]
         depth = y[top]
         best = best_node = best_ys = 0
-        for u in inst.bottoms(v):
+        for u in (vert[1],) if isinstance(vert, VertexPath) else vert[1]:
             while not head[u] and y[u] > depth:
                 # u stays empty for good: link it to its parent on the
                 # first visit, later halve the path through its link
                 w = link[u]
-                w = link[u] = parent[u] if w == u else link[w]
+                w = link[u] = (link[w] or w) if w else parent[u]
                 u = w
             hit = head[u]
             if hit and free_ys[hit] > best_ys:

@@ -181,3 +181,42 @@ class TestErrors:
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):
             main(["validate", "/nonexistent/path.rdv"])
+
+    def test_directory_argument(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["match", str(tmp_path)])
+        assert str(exc.value).startswith(f"error: cannot open {tmp_path}")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.rdv"
+        path.write_bytes(b"tree 1\nparents 0\nvertices 1 1\nv 1 1 # caf\xe9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["match", str(path)])
+        assert str(exc.value) == f"error: {path}: not UTF-8 text (byte 41)"
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["gen", "--tree-nodes", "0", "--vertices", "3"], "bad generator config"),
+            (["gen", "--dense", "--vertices", "1"], "dense family needs n >= 2"),
+        ],
+        ids=["tree-nodes-0", "dense-1-vertex"],
+    )
+    def test_gen_rejects_bad_sizes(self, tmp_path, argv, needle):
+        out = tmp_path / "g.rdv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(out)])
+        assert str(exc.value).startswith("error: ")
+        assert needle in str(exc.value)
+        assert not out.exists()
+
+    def test_unwritable_output(self, k2_file, tmp_path):
+        out = tmp_path / "missing-dir" / "m.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["match", k2_file, "-o", str(out)])
+        assert str(exc.value).startswith(f"error: cannot write {out}")
+
+    def test_bench_rejects_zero_repeats(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--repeats", "0", "--min-exp", "3", "--max-exp", "3"])
+        assert str(exc.value) == "error: --repeats must be at least 1"

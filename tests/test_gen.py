@@ -1,8 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdvmatch.core import adjacency_oracle, oracle_adjacency, validate_instance
+from rdvmatch.core import (
+    HostTree,
+    RdvInstance,
+    VertexPath,
+    adjacency_oracle,
+    oracle_adjacency,
+    validate_instance,
+)
 from rdvmatch.gen import (
     GenConfig,
     fixture_trampoline,
@@ -18,6 +27,33 @@ from rdvmatch.io import write_instance
 
 def edge_count(inst):
     return sum(len(a) for a in oracle_adjacency(inst)) // 2
+
+
+def ancestor_walk_reference(cfg):
+    """Plain gen_random as first written: the same random tree, then per
+    vertex a uniform bottom and a uniform entry of its ancestor chain."""
+    rng = random.Random(cfg.seed)
+    parents = [0] * cfg.tree_nodes
+    open_nodes = [1]
+    child_count = [0] * (cfg.tree_nodes + 1)
+    for node in range(2, cfg.tree_nodes + 1):
+        pick = rng.randrange(len(open_nodes))
+        parent = open_nodes[pick]
+        parents[node - 1] = parent
+        child_count[parent] += 1
+        if child_count[parent] >= cfg.max_branching:
+            open_nodes[pick] = open_nodes[-1]
+            open_nodes.pop()
+        open_nodes.append(node)
+    tree = HostTree(parents)
+    vertices = []
+    for _ in range(cfg.n_vertices):
+        bottom = rng.randint(1, cfg.tree_nodes)
+        chain = [bottom]
+        while tree.parent(chain[-1]) != 0:
+            chain.append(tree.parent(chain[-1]))
+        vertices.append(VertexPath(chain[rng.randrange(len(chain))], bottom))
+    return RdvInstance(tree, tuple(vertices), 1)
 
 
 class TestGenRandom:
@@ -62,6 +98,21 @@ class TestGenRandom:
             gen_random(GenConfig(seed=1, tree_nodes=0, n_vertices=1))
         with pytest.raises(ValueError):
             gen_random(GenConfig(seed=1, tree_nodes=3, n_vertices=1, max_branching=0))
+
+    def test_plain_vertices_equal_ancestor_walk(self):
+        """Tops resolved in one preorder pass give the same file as
+        walking each bottom's ancestor chain, on every branching bound."""
+        for max_branching in range(1, 6):
+            for seed in range(30):
+                cfg = GenConfig(
+                    seed=seed,
+                    tree_nodes=1 + (seed * 37) % 300,
+                    n_vertices=(seed * 11) % 200,
+                    max_branching=max_branching,
+                )
+                assert write_instance(gen_random(cfg)) == write_instance(
+                    ancestor_walk_reference(cfg)
+                ), cfg
 
 
 class TestGenDense:
@@ -135,8 +186,6 @@ class TestIntervalsToRdv:
             intervals_to_rdv([(1, 2), (5, 4)])
 
     def test_overlap_matrix_matches_oracle(self):
-        import random
-
         rng = random.Random(321)
         intervals = [
             tuple(sorted((rng.randint(0, 60), rng.randint(0, 60))))
