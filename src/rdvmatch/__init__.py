@@ -45,7 +45,7 @@ from .matching import (
     maximum_matching_oracle,
     rayshoot_greedy,
 )
-from .rayshoot import DEFAULT_BACKEND, RayShootIndex, available_backends, get_index_class
+from .rayshoot import DEFAULT_BACKEND, RayShootIndex, available_backends
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,5 @@ __all__ = [
     "DEFAULT_BACKEND",
     "RayShootIndex",
     "available_backends",
-    "get_index_class",
     "__version__",
 ]

@@ -134,9 +134,11 @@ def write_instance(inst: RdvInstance) -> str:
         "parents " + " ".join(map(str, inst.tree.parents())),
         f"vertices {inst.n} {inst.delta}",
     ]
-    for v in range(1, inst.n + 1):
-        ids = " ".join(map(str, (inst.top(v), *inst.bottoms(v))))
-        lines.append(f"v {ids}")
+    for vert in inst.vertices:
+        if isinstance(vert, VertexPath):
+            lines.append(f"v {vert.top} {vert.bottom}")
+        else:
+            lines.append("v " + " ".join(map(str, (vert.top, *vert.bottoms))))
     return "\n".join(lines) + "\n"
 
 

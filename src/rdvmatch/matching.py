@@ -36,7 +36,7 @@ from .core import (
     checked_coordinates,
 )
 from .geometry import NodeCoords, ray_origin, segment_height
-from .rayshoot import get_index_class
+from .rayshoot import RayShootIndex
 
 
 def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
@@ -150,19 +150,19 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     return Matching(pairs)
 
 
-def rayshoot_greedy(inst: RdvInstance, backend: str = "auto") -> Matching:
+def rayshoot_greedy(inst: RdvInstance) -> Matching:
     """The paper's reduction, kept as the reference for the fast loop.
 
     The same greedy as :func:`delayed_greedy_delta`, with the free
-    vertices held as horizontal segments in a general ray-shooting index
-    of the chosen backend; each vertex shoots one upward ray per bottom
-    node.  ``free_ys`` holds the ys of each free vertex's live segment,
-    flat, so that the loop keeps no per-vertex object alive.
+    vertices held as horizontal segments in the general ray-shooting
+    index of :mod:`rdvmatch.rayshoot`; each vertex shoots one upward ray
+    per bottom node.  ``free_ys`` holds the ys of each free vertex's live
+    segment, flat, so that the loop keeps no per-vertex object alive.
     """
     coords = checked_coordinates(inst)
     order = bottom_up_order(inst, coords)
     n = inst.n
-    index = get_index_class(backend)(max(coords.leaf_count, 1), n)
+    index = RayShootIndex(max(coords.leaf_count, 1), n)
     x, y, r = coords.x, coords.y, coords.r
     free_ys = array("q", [0]) * (n + 1)
     pairs: list[tuple[int, int]] = []

@@ -1,4 +1,4 @@
-"""Pure-Python dynamic orthogonal ray-shooting index.
+"""Dynamic orthogonal ray-shooting index behind ``rayshoot_greedy``.
 
 Static segment tree over the x-domain [1, x_max]; each tree node keeps the
 negated heights ``-ys`` of the segments assigned to it in an ascending list
@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-BACKEND = "pure"
+# kept only for the environment line of perfbench/run.py; they go with the
+# next benchmark change
+DEFAULT_BACKEND = "pure"
+
+
+def available_backends() -> list[str]:
+    return ["pure"]
 
 
 class RayShootIndex:
@@ -51,9 +57,6 @@ class RayShootIndex:
 
     def __len__(self) -> int:
         return len(self._live)
-
-    def is_live(self, owner: int) -> bool:
-        return owner in self._live
 
     def insert(self, owner: int, x_lo: int, x_hi: int, ys: int) -> None:
         if not 1 <= owner <= self.capacity:

@@ -1,18 +1,4 @@
-import pytest
-
 from rdvmatch.gen import GenConfig, gen_random
-from rdvmatch.rayshoot import available_backends, get_index_class
-
-
-@pytest.fixture(params=available_backends())
-def backend(request):
-    """Run index-level tests against every compiled/pure backend present."""
-    return request.param
-
-
-@pytest.fixture
-def index_cls(backend):
-    return get_index_class(backend)
 
 
 def random_instance(seed, n=None, tree_nodes=None, max_branching=None, delta=1):

@@ -32,7 +32,7 @@ from rdvmatch.matching import (
     is_simple_vertex,
     maximum_matching_oracle,
 )
-from rdvmatch.rayshoot import available_backends, get_index_class
+from rdvmatch.rayshoot import RayShootIndex
 
 from test_matching import chain_instance
 
@@ -115,18 +115,17 @@ def test_c3_delayed_equals_greedy_reference():
 
 def test_c4_rayshoot_replay_against_shadow():
     """C4: >= 1e5 randomized index ops agree with a linear-scan shadow."""
-    ops_per_backend = 110_000
-    backends = available_backends()
+    ops = 110_000
     x_max = 512
     capacity = 60_000
     rng = random.Random(0xC4)
-    indices = {name: get_index_class(name)(x_max, capacity) for name in backends}
+    idx = RayShootIndex(x_max, capacity)
     shadow = {}
-    ys_pool = list(range(1, 3 * ops_per_backend))
+    ys_pool = list(range(1, 3 * ops))
     rng.shuffle(ys_pool)
     next_owner = 1
     shoots = inserts = deletes = 0
-    for _ in range(ops_per_backend):
+    for _ in range(ops):
         roll = rng.random()
         if not shadow or (roll < 0.40 and len(shadow) < 256 and next_owner <= capacity):
             owner = next_owner
@@ -134,35 +133,28 @@ def test_c4_rayshoot_replay_against_shadow():
             x_lo = rng.randint(1, x_max)
             x_hi = min(x_max, x_lo + rng.choice((0, 1, 3, 17, 80, x_max)))
             ys = ys_pool.pop()
-            for idx in indices.values():
-                idx.insert(owner, x_lo, x_hi, ys)
+            idx.insert(owner, x_lo, x_hi, ys)
             shadow[owner] = (x_lo, x_hi, ys)
             inserts += 1
         elif roll < 0.55:
             owner = rng.choice(sorted(shadow))
-            for idx in indices.values():
-                idx.delete(owner)
+            idx.delete(owner)
             del shadow[owner]
             deletes += 1
         else:
             x = rng.randint(1, x_max)
-            y_origin = rng.randint(0, 3 * ops_per_backend)
+            y_origin = rng.randint(0, 3 * ops)
             best = None
             best_ys = -1
             for owner, (x_lo, x_hi, ys) in shadow.items():
                 if x_lo <= x <= x_hi and best_ys < ys <= y_origin:
                     best, best_ys = owner, ys
-            for name, idx in indices.items():
-                assert idx.shoot(x, y_origin) == best, (
-                    f"{name} backend diverged at shoot ({x}, {y_origin})"
-                )
+            assert idx.shoot(x, y_origin) == best, f"diverged at shoot ({x}, {y_origin})"
             shoots += 1
-        for idx in indices.values():
-            assert len(idx) == len(shadow)
+        assert len(idx) == len(shadow)
     print(
         "ACCEPTANCE C4 rayshoot shadow replay: PASS "
-        f"({ops_per_backend} ops x {len(backends)} backends: "
-        f"{inserts} inserts, {deletes} deletes, {shoots} shoots)"
+        f"({ops} ops: {inserts} inserts, {deletes} deletes, {shoots} shoots)"
     )
 
 

@@ -30,6 +30,21 @@ def test_round_trip_is_identity():
         assert write_instance(parse_instance(text)) == text
 
 
+def test_write_instance_exact_text():
+    # round trips alone would accept any format change the parser also reads
+    tree = HostTree([0, 1, 1, 2])
+    plain = RdvInstance(tree, (VertexPath(1, 4), VertexPath(3, 3)), 1)
+    assert write_instance(plain) == (
+        "tree 4\nparents 0 1 1 2\nvertices 2 1\nv 1 4\nv 3 3\n"
+    )
+    mixed = RdvInstance(
+        tree, (VertexPath(2, 4), VertexSubtree(1, (3,)), VertexSubtree(1, (4, 3))), 2
+    )
+    assert write_instance(mixed) == (
+        "tree 4\nparents 0 1 1 2\nvertices 3 2\nv 2 4\nv 1 3\nv 1 4 3\n"
+    )
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\ntree 2   # two nodes\nparents 0 1\n\nvertices 1 1\nv 1 2\n"
     inst = parse_instance(text)

@@ -195,9 +195,9 @@ class TestDelayedGreedyDelta:
                     assert hit == adjacency_oracle(inst, vi, vj)
 
 
-def test_fast_loop_equals_rayshoot_reference(backend):
-    # the tree find must reproduce the paper's ray-shooting reduction on
-    # every backend, adversarial shapes included
+def test_fast_loop_equals_rayshoot_reference():
+    # the tree find must reproduce the paper's ray-shooting reduction,
+    # adversarial shapes included
     n = 4096
     cases = [
         (f"{name} delta={delta}", inst)
@@ -213,7 +213,7 @@ def test_fast_loop_equals_rayshoot_reference(backend):
         for delta in (1, 2, 3)
     ]
     for name, inst in cases:
-        ref = rayshoot_greedy(inst, backend)
+        ref = rayshoot_greedy(inst)
         assert delayed_greedy_delta(inst) == ref, name
         if inst.delta == 1:
             assert delayed_greedy(inst) == ref, name

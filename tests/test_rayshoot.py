@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rdvmatch import matching
 from rdvmatch.gen import GenConfig, gen_comb, gen_dense, gen_random
-from rdvmatch.rayshoot import available_backends, get_index_class
+from rdvmatch.rayshoot import RayShootIndex
 
 
 def shadow_shoot(live, x, y_origin):
@@ -22,14 +22,14 @@ def shadow_shoot(live, x, y_origin):
 
 
 class TestBasics:
-    def test_insert_into_empty(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_insert_into_empty(self):
+        idx = RayShootIndex(10, 5)
         idx.insert(1, 2, 6, 100)
         assert len(idx) == 1
         assert idx.shoot(4, 200) == 1
 
-    def test_reinsertion_after_delete(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_reinsertion_after_delete(self):
+        idx = RayShootIndex(10, 5)
         idx.insert(1, 2, 6, 100)
         idx.delete(1)
         assert idx.shoot(4, 200) is None
@@ -37,24 +37,24 @@ class TestBasics:
         assert len(idx) == 1
         assert idx.shoot(2, 150) == 1
 
-    def test_duplicate_insert_reported(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_duplicate_insert_reported(self):
+        idx = RayShootIndex(10, 5)
         idx.insert(1, 1, 1, 5)
         with pytest.raises(ValueError, match="already live"):
             idx.insert(1, 2, 3, 6)
 
-    def test_delete_non_live_reported(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_delete_non_live_reported(self):
+        idx = RayShootIndex(10, 5)
         with pytest.raises(ValueError, match="no live segment"):
             idx.delete(3)
 
-    def test_owner_range_checked(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_owner_range_checked(self):
+        idx = RayShootIndex(10, 5)
         with pytest.raises(ValueError, match="out of range"):
             idx.insert(6, 1, 1, 5)
 
-    def test_bad_x_range_rejected(self, index_cls):
-        idx = index_cls(10, 5)
+    def test_bad_x_range_rejected(self):
+        idx = RayShootIndex(10, 5)
         with pytest.raises(ValueError):
             idx.insert(1, 5, 3, 7)
         with pytest.raises(ValueError):
@@ -62,11 +62,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             idx.insert(1, 3, 11, 7)
 
-    def test_miss_on_empty(self, index_cls):
-        assert index_cls(4, 2).shoot(1, 10**9) is None
+    def test_miss_on_empty(self):
+        assert RayShootIndex(4, 2).shoot(1, 10**9) is None
 
-    def test_first_hit_is_max_ys_at_or_below_origin(self, index_cls):
-        idx = index_cls(8, 4)
+    def test_first_hit_is_max_ys_at_or_below_origin(self):
+        idx = RayShootIndex(8, 4)
         idx.insert(1, 1, 8, 5)
         idx.insert(2, 1, 8, 9)
         idx.insert(3, 1, 8, 12)
@@ -74,16 +74,16 @@ class TestBasics:
         idx.delete(2)
         assert idx.shoot(4, 10) == 1
 
-    def test_stacked_segments_fall_through(self, index_cls):
-        idx = index_cls(4, 3)
+    def test_stacked_segments_fall_through(self):
+        idx = RayShootIndex(4, 3)
         idx.insert(1, 2, 3, 10)
         idx.insert(2, 1, 4, 20)
         assert idx.shoot(2, 100) == 2
         idx.delete(2)
         assert idx.shoot(2, 100) == 1
 
-    def test_x_outside_domain_misses(self, index_cls):
-        idx = index_cls(4, 2)
+    def test_x_outside_domain_misses(self):
+        idx = RayShootIndex(4, 2)
         idx.insert(1, 1, 4, 3)
         assert idx.shoot(0, 100) is None
         assert idx.shoot(5, 100) is None
@@ -91,7 +91,7 @@ class TestBasics:
 
 class TestPureHeights:
     def test_height_zero_is_hit(self):
-        idx = get_index_class("pure")(4, 2)
+        idx = RayShootIndex(4, 2)
         idx.insert(1, 1, 4, 0)
         assert idx.shoot(2, 0) == 1
         assert idx.shoot(2, 5) == 1
@@ -100,7 +100,7 @@ class TestPureHeights:
         assert idx.shoot(2, 3) == 2
 
     def test_negative_height_rejected(self):
-        idx = get_index_class("pure")(4, 2)
+        idx = RayShootIndex(4, 2)
         with pytest.raises(ValueError, match="negative"):
             idx.insert(1, 1, 4, -3)
         assert len(idx) == 0
@@ -131,22 +131,20 @@ def test_matching_loop_inserts_move_no_bucket_entry(monkeypatch, make):
     # the reference loop inserts in strictly decreasing heights, so every
     # bucket insert of the pure index must be an append; a layout that
     # shifts on insert moves ~n^2/2 entries on the comb
-    pure = get_index_class("pure")
-
-    class CountingIndex(pure):
+    class CountingIndex(RayShootIndex):
         def __init__(self, x_max, capacity):
             super().__init__(x_max, capacity)
             self._negs = [_ShiftCountingBucket() for _ in self._negs]
 
-    monkeypatch.setattr(matching, "get_index_class", lambda backend: CountingIndex)
+    monkeypatch.setattr(matching, "RayShootIndex", CountingIndex)
     monkeypatch.setattr(_ShiftCountingBucket, "moved", 0)
     matching.rayshoot_greedy(make(4096))
     assert _ShiftCountingBucket.moved == 0
 
 
 class TestAgainstShadow:
-    def test_bulk_insert_count(self, index_cls):
-        idx = index_cls(500, 10_000)
+    def test_bulk_insert_count(self):
+        idx = RayShootIndex(500, 10_000)
         rng = random.Random(99)
         shadow = {}
         for owner in range(1, 10_001):
@@ -157,10 +155,10 @@ class TestAgainstShadow:
             shadow[owner] = (x_lo, x_hi, ys)
         assert len(idx) == len(shadow) == 10_000
 
-    def test_random_interleavings_match_shadow(self, index_cls):
+    def test_random_interleavings_match_shadow(self):
         rng = random.Random(4242)
         x_max = 64
-        idx = index_cls(x_max, 2_000)
+        idx = RayShootIndex(x_max, 2_000)
         shadow = {}
         next_owner = 1
         ys_pool = list(range(1, 20_001))
@@ -201,12 +199,11 @@ class TestAgainstShadow:
 )
 def test_shoot_equals_linear_scan(segments, x, y_origin):
     # owners get distinct ys by construction
-    for name in available_backends():
-        idx = get_index_class(name)(12, len(segments) or 1)
-        shadow = {}
-        for owner, (a, b, y) in enumerate(segments, start=1):
-            x_lo, x_hi = min(a, b), max(a, b)
-            ys = y * len(segments) + owner
-            idx.insert(owner, x_lo, x_hi, ys)
-            shadow[owner] = (x_lo, x_hi, ys)
-        assert idx.shoot(x, y_origin) == shadow_shoot(shadow, x, y_origin)
+    idx = RayShootIndex(12, len(segments) or 1)
+    shadow = {}
+    for owner, (a, b, y) in enumerate(segments, start=1):
+        x_lo, x_hi = min(a, b), max(a, b)
+        ys = y * len(segments) + owner
+        idx.insert(owner, x_lo, x_hi, ys)
+        shadow[owner] = (x_lo, x_hi, ys)
+    assert idx.shoot(x, y_origin) == shadow_shoot(shadow, x, y_origin)
