@@ -7,14 +7,17 @@ never materialized.  A generalized instance may attach up to ``delta``
 downward paths to one vertex (a subtree with at most ``delta`` leaves),
 stored as a top node plus one bottom node per path.
 
-Node ids and vertex ids are 1-based dense integers throughout.  Internal
-per-node arrays have length ``node_count + 1`` with slot 0 unused.
+Node ids and vertex ids are 1-based dense integers throughout.  Per-node
+tables have length ``node_count + 1`` with slot 0 unused; per-vertex
+columns are 0-based, so vertex v sits at index ``v - 1``.  Both are flat
+integer columns (``array('q')``) from parse to solve.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from array import array
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import NodeCoords, assign_coordinates
@@ -36,6 +39,24 @@ class VertexSubtree(NamedTuple):
 
 Vertex = Union[VertexPath, VertexSubtree]
 
+IntColumn = Union["array[int]", list]
+
+
+def _column(values: Sequence[int]) -> IntColumn:
+    """``values`` as an ``array('q')``, or as a list when one of them does
+    not fit in 64 bits (validation then reports it as out of range)."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)
+
+
+def _same(a, b) -> bool:
+    """Equal contents, whatever the column types (array, list or None)."""
+    if type(a) is type(b) or a is None or b is None:
+        return a == b
+    return list(a) == list(b)
+
 
 class HostTree:
     """Rooted ordered tree over nodes ``1..node_count``.
@@ -49,92 +70,198 @@ class HostTree:
     cycles are representable) so that :func:`validate_instance` can report
     violations instead of crashing.
 
-    The package's per-node loops index the tables ``_parent`` (slot 0
-    holds 0) and ``_children`` directly instead of calling
-    :meth:`parent` and :meth:`children` once per node.
+    The tables are flat integer columns, built when the tree is: the
+    parent of each node in ``_parent`` (slot 0 holds 0), and the children
+    in compressed sparse row form, grouped by parent.  The children of
+    node p are ``_kids[_first[p]:_first[p + 1]]``; group 0 holds the
+    roots, and one last group the nodes whose parent is out of range.
+    The package's per-node loops index these tables directly instead of
+    calling :meth:`parent` and :meth:`children`, which build a value per
+    call.
     """
 
-    __slots__ = ("node_count", "_parent", "_children")
+    __slots__ = ("node_count", "_parent", "_first", "_kids")
 
     def __init__(self, parents: Sequence[int]):
         n = len(parents)
         self.node_count = n
-        par = self._parent = (0, *parents)
-        # children grouped by parent, in file order within each group (the
-        # sort is stable); slicing that one tuple builds the table without
-        # a temporary list per node
-        counts = Counter(parents)
-        by_parent = tuple(sorted(range(1, n + 1), key=par.__getitem__))
-        kids: list[tuple[int, ...]] = [()] * (n + 1)
-        start = 0
-        for p in sorted(counts):
-            end = start + counts[p]
-            if 1 <= p <= n:
-                kids[p] = by_parent[start:end]
-            start = end
-        self._children = tuple(kids)
+        par = array("q", [0])
+        try:
+            par.extend(parents)
+        except OverflowError:
+            par = [0, *parents]
+        self._parent = par
+        keys = par.tolist() if isinstance(par, array) else par
+        if n and (min(keys) < 0 or max(keys) > n):
+            keys = [p if 0 <= p <= n else n + 1 for p in keys]
+        sizes = [0] * (n + 2)
+        for p in keys:
+            sizes[p] += 1
+        sizes[0] -= 1  # slot 0 is no node
+        self._first = array("q", accumulate(sizes, initial=0))
+        # a stable sort keeps file order within each group
+        self._kids = array("q", sorted(range(1, n + 1), key=keys.__getitem__))
 
     def parent(self, node: int) -> int:
         """Parent id of ``node``, or 0 for a root."""
         return self._parent[node]
 
     def children(self, node: int) -> tuple[int, ...]:
-        return self._children[node]
+        """Children of ``node`` (1..node_count) in file order."""
+        first = self._first
+        return tuple(self._kids[first[node] : first[node + 1]])
 
     def parents(self) -> tuple[int, ...]:
         """Parent array in file order (entry k is the parent of node k+1)."""
-        return self._parent[1:]
+        return tuple(self._parent[1:])
 
     def roots(self) -> list[int]:
-        return [i for i in range(1, self.node_count + 1) if self._parent[i] == 0]
+        return list(self._kids[: self._first[1]])
 
     @property
     def root(self) -> int:
-        if self._parent.count(0) != 2:  # slot 0 and the one root
-            raise ValueError(f"tree has {len(self.roots())} roots, expected exactly one")
-        return self._parent.index(0, 1)
+        if self._first[1] != 1:
+            raise ValueError(f"tree has {self._first[1]} roots, expected exactly one")
+        return self._kids[0]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HostTree) and self._parent == other._parent
+        return isinstance(other, HostTree) and _same(self._parent, other._parent)
 
     def __hash__(self) -> int:
-        return hash(self._parent)
+        return hash(tuple(self._parent))
 
     def __repr__(self) -> str:
         return f"HostTree({list(self.parents())!r})"
 
 
-@dataclass(frozen=True)
 class RdvInstance:
     """Host tree plus one downward path (or path bundle) per vertex.
 
     ``delta`` bounds the number of bottom nodes any vertex may carry;
     plain instances have ``delta == 1`` and every vertex a single bottom.
-    Immutable after construction; safe to share across threads.
+
+    The vertices are flat integer columns: ``tops``, and ``bots``, the
+    bottom nodes of all vertices in vertex order.  A plain instance has
+    one bottom per vertex and no ``offsets``; any other has ``offsets``
+    (length ``n + 1``), and the bottoms of vertex v are
+    ``bots[offsets[v - 1]:offsets[v]]``.  The columns are ``array('q')``,
+    or lists when an id does not fit in 64 bits.
+
+    ``RdvInstance(tree, vertices, delta)`` builds the columns from
+    :class:`VertexPath` and :class:`VertexSubtree` tuples;
+    :meth:`from_columns` takes them as they are.  :attr:`vertices`,
+    :meth:`top` and :meth:`bottoms` are read-only views, and a vertex
+    reads as a :class:`VertexPath` exactly when ``delta == 1`` and it has
+    one bottom, as the parser builds it.  Immutable after construction;
+    safe to share across threads.
     """
 
-    tree: HostTree
-    vertices: tuple[Vertex, ...]
-    delta: int = 1
+    __slots__ = ("tree", "tops", "bots", "offsets", "delta")
+
+    def __init__(self, tree: HostTree, vertices: Iterable[Vertex], delta: int = 1):
+        vertices = tuple(vertices)
+        tops = list(map(itemgetter(0), vertices))
+        if set(map(type, vertices)) <= {VertexPath}:
+            bots = list(map(itemgetter(1), vertices))
+            sizes = None
+        else:
+            groups = [(v[1],) if isinstance(v, VertexPath) else v[1] for v in vertices]
+            bots = list(chain.from_iterable(groups))
+            sizes = list(map(len, groups))
+        offsets = None
+        if delta != 1 or not (sizes is None or sizes.count(1) == len(sizes)):
+            offsets = array("q", accumulate(sizes or repeat(1, len(tops)), initial=0))
+        self._init(tree, _column(tops), _column(bots), offsets, delta)
+
+    @classmethod
+    def from_columns(
+        cls,
+        tree: HostTree,
+        tops: IntColumn,
+        bots: IntColumn,
+        offsets: array | None,
+        delta: int,
+    ) -> RdvInstance:
+        """Instance over columns laid out as the class describes; they
+        are kept, not copied.  ``offsets`` must be None exactly when
+        ``delta == 1`` and every vertex has one bottom."""
+        inst = object.__new__(cls)
+        inst._init(tree, tops, bots, offsets, delta)
+        return inst
+
+    def _init(self, tree, tops, bots, offsets, delta) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "tree", tree)
+        setattr_(self, "tops", tops)
+        setattr_(self, "bots", bots)
+        setattr_(self, "offsets", offsets)
+        setattr_(self, "delta", delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: RdvInstance is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.tops)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """One tuple per vertex, built anew on each access (linear time)."""
+        new = tuple.__new__
+        tops, bots, offsets = self.tops, self.bots, self.offsets
+        if offsets is None:
+            return tuple(map(new, repeat(VertexPath), zip(tops, bots)))
+        plain = self.delta == 1
+        out: list[Vertex] = []
+        for top, lo, hi in zip(tops, offsets, offsets[1:]):
+            group = tuple(bots[lo:hi])
+            if plain and len(group) == 1:
+                out.append(new(VertexPath, (top, group[0])))
+            else:
+                out.append(new(VertexSubtree, (top, group)))
+        return tuple(out)
 
     def top(self, v: int) -> int:
-        return self.vertices[v - 1].top
+        return self.tops[v - 1]
 
     def bottoms(self, v: int) -> tuple[int, ...]:
-        vert = self.vertices[v - 1]
-        if isinstance(vert, VertexPath):
-            return (vert.bottom,)
-        return vert.bottoms
+        offsets = self.offsets
+        if offsets is None:
+            return (self.bots[v - 1],)
+        return tuple(self.bots[offsets[v - 1] : offsets[v]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RdvInstance):
+            return NotImplemented
+        return (
+            self.delta == other.delta
+            and self.tree == other.tree
+            and _same(self.tops, other.tops)
+            and _same(self.bots, other.bots)
+            and _same(self.offsets, other.offsets)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tree, self.vertices, self.delta))
+
+    def __repr__(self) -> str:
+        return (
+            f"RdvInstance(tree={self.tree!r}, vertices={self.vertices!r}, "
+            f"delta={self.delta!r})"
+        )
 
 
 class Matching:
-    """Set of matched vertex pairs with no shared endpoint."""
+    """Set of matched vertex pairs with no shared endpoint.
 
-    __slots__ = ("_pairs",)
+    ``Matching(pairs)`` checks its pairs.  The matching loops build one
+    with :meth:`from_mates` instead, which keeps their mate array as it
+    is; :attr:`pairs` is then built on first use.
+    """
+
+    __slots__ = ("_pairs", "_mate", "_size")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         seen: set[int] = set()
@@ -149,36 +276,57 @@ class Matching:
             seen.add(b)
             norm.add((a, b) if a < b else (b, a))
         self._pairs = frozenset(norm)
+        self._mate = None
+        self._size = len(norm)
+
+    @classmethod
+    def from_mates(cls, mate: Sequence[int]) -> Matching:
+        """Matching whose vertex v is matched to ``mate[v]``, or free when
+        ``mate[v] == 0`` (slot 0 unused).  The caller guarantees that
+        ``mate`` is symmetric; only the pairs are counted."""
+        m = object.__new__(cls)
+        m._pairs = None
+        m._mate = mate
+        m._size = (len(mate) - mate.count(0)) // 2
+        return m
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
+        if self._pairs is None:
+            self._pairs = frozenset(self.edges())
         return self._pairs
 
     def edges(self) -> list[tuple[int, int]]:
         """Pairs as (i, j) with i < j, sorted lexicographically."""
-        return sorted(self._pairs)
+        mate = self._mate
+        if mate is None:
+            return sorted(self._pairs)
+        return [(v, m) for v, m in enumerate(mate) if v < m]
 
     def vertices(self) -> set[int]:
-        return {v for pair in self._pairs for v in pair}
+        return {v for pair in self.edges() for v in pair}
 
     def to_text(self) -> str:
-        lines = [f"matching {len(self._pairs)}"]
+        lines = [f"matching {self._size}"]
         lines.extend(f"e {i} {j}" for i, j in self.edges())
         return "\n".join(lines) + "\n"
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._size
 
     def __iter__(self):
         return iter(self.edges())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Matching):
-            return self._pairs == other._pairs
-        return NotImplemented
+        if not isinstance(other, Matching):
+            return NotImplemented
+        mine, theirs = self._mate, other._mate
+        if type(mine) is type(theirs) and mine is not None and len(mine) == len(theirs):
+            return mine == theirs
+        return self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(self.pairs)
 
     def __repr__(self) -> str:
         return f"Matching({self.edges()!r})"
@@ -223,7 +371,9 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
     root does not reach keep ``x == 0``, and node t is an ancestor-or-self
     of node b iff ``x(t) <= x(b)``, ``r(b) <= r(t)`` and ``y(t) <= y(b)``
     (leaf ranges nest, and the depth test separates the nodes of a unary
-    chain, which share one range).
+    chain, which share one range).  The vertices are checked column by
+    column; only when that finds a fault does a walk over the vertices
+    name each violation.
     """
     tree = inst.tree
     n_nodes = tree.node_count
@@ -240,7 +390,7 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
             if p != 0 and not (1 <= p <= n_nodes):
                 violations.append(f"node {i}: parent {p} out of range 1..{n_nodes}")
 
-    n_roots = parent.count(0) - 1
+    n_roots = tree._first[1]
     if n_roots == 0:
         violations.append("no root: every node has a parent (cycle)")
     elif n_roots > 1:
@@ -256,77 +406,88 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
             )
             coords = None
 
-    delta = inst.delta
-    if delta < 1:
-        violations.append(f"delta must be at least 1, got {delta}")
+    if inst.delta < 1:
+        violations.append(f"delta must be at least 1, got {inst.delta}")
 
+    if not _vertices_sound(inst, coords):
+        violations.extend(_vertex_violations(inst, coords))
+    return violations, coords
+
+
+def _vertices_sound(inst: RdvInstance, coords: NodeCoords | None) -> bool:
+    """True when no vertex has a violation.
+
+    Range and bottom-count checks run over whole columns, then one pass
+    over the (top, bottom) pairs tests ancestry.  False also whenever the
+    tree or delta is at fault, so that :func:`_vertex_violations` decides
+    what the vertices add to that.
+    """
+    tops, bots, offsets, delta = inst.tops, inst.bots, inst.offsets, inst.delta
+    if not tops:
+        return True
+    if coords is None or delta < 1:
+        return False
+    if offsets is not None:
+        sizes = list(map(sub, offsets[1:], offsets))
+        if delta == 1 or min(sizes) < 1 or max(sizes) > delta:
+            return False
+    last = len(coords.x) - 1
+    if min(tops) < 1 or max(tops) > last or min(bots) < 1 or max(bots) > last:
+        return False
+    if offsets is not None:
+        tops = chain.from_iterable(map(repeat, tops, sizes))  # one per bottom
+    x, y, r = coords.x, coords.y, coords.r
+    for top, b in zip(tops, bots):
+        if not (x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]):
+            return False
+    return True
+
+
+def _vertex_violations(inst: RdvInstance, coords: NodeCoords | None) -> list[str]:
+    """Every per-vertex violation, in vertex order."""
+    n_nodes = inst.tree.node_count
+    delta = inst.delta
     if coords is not None:
         x, y, r = coords.x, coords.y, coords.r
-    for v, vert in enumerate(inst.vertices, start=1):
-        top = vert[0]
-        if isinstance(vert, VertexPath):
-            b = vert[1]
-            if 1 <= top <= n_nodes and 1 <= b <= n_nodes and delta >= 1:
-                # a single bottom in range: only its ancestry can fail
-                if coords is not None and not (
-                    x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]
-                ):
-                    violations.append(f"vertex {v}: top {top} not ancestor of bottom {b}")
-                continue
-            bottoms: tuple[int, ...] = (b,)
-        else:
-            bottoms = vert[1]
+    out: list[str] = []
+    for v in range(1, inst.n + 1):
+        top = inst.top(v)
+        bottoms = inst.bottoms(v)
         ids_ok = True
         for node in (top, *bottoms):
             if not (1 <= node <= n_nodes):
-                violations.append(f"vertex {v}: node id {node} out of range")
+                out.append(f"vertex {v}: node id {node} out of range")
                 ids_ok = False
         if len(bottoms) == 0:
-            violations.append(f"vertex {v}: no bottom nodes")
+            out.append(f"vertex {v}: no bottom nodes")
             continue
         if delta == 1 and len(bottoms) != 1:
-            violations.append(
+            out.append(
                 f"vertex {v}: {len(bottoms)} bottoms but delta=1 requires exactly one"
             )
         elif len(bottoms) > delta:
-            violations.append(
-                f"vertex {v}: {len(bottoms)} bottoms exceeds delta={delta}"
-            )
+            out.append(f"vertex {v}: {len(bottoms)} bottoms exceeds delta={delta}")
         if coords is not None and ids_ok:
             for b in bottoms:
                 if not (x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]):
-                    violations.append(
-                        f"vertex {v}: top {top} not ancestor of bottom {b}"
-                    )
-    return violations, coords
+                    out.append(f"vertex {v}: top {top} not ancestor of bottom {b}")
+    return out
 
 
 def bottom_up_order(inst: RdvInstance, coords) -> list[int]:
     """Vertices sorted by decreasing depth of their top node.
 
     Ties are broken by ascending vertex id, which makes the order (and
-    everything downstream of it) reproducible.  Counting sort over depth
-    values, linear in tree size plus vertex count.
+    everything downstream of it) reproducible.
 
     ``coords`` comes from :func:`rdvmatch.geometry.assign_coordinates`.
     """
-    depth_of = coords.y
-    depths = [depth_of[vert[0]] for vert in inst.vertices]
-    if not depths:
-        return []
-    # counting sort with no list per depth: first count each depth, then
-    # turn the counts into the next free slot of each depth, deepest first
-    slot_of = [0] * (max(depths) + 1)
-    for d in depths:
-        slot_of[d] += 1
-    slot = 0
-    for d in range(len(slot_of) - 1, -1, -1):
-        slot, slot_of[d] = slot + slot_of[d], slot
-    out = [0] * len(depths)
-    for v, d in enumerate(depths, start=1):
-        out[slot_of[d]] = v
-        slot_of[d] += 1
-    return out
+    y = coords.y
+    # top depth per vertex id, slot 0 unused; the sort is stable even in
+    # reverse, so equal depths keep ascending ids
+    depth = [0]
+    depth += [y[top] for top in inst.tops]
+    return sorted(range(1, len(depth)), key=depth.__getitem__, reverse=True)
 
 
 def _walk_depth(tree: HostTree, node: int) -> int:
@@ -383,7 +544,7 @@ def oracle_adjacency(inst: RdvInstance) -> list[list[int]]:
     tree = inst.tree
     n = inst.n
     depths = _bfs_depths(tree)
-    parent = tree.parent
+    parent = tree._parent
     tops = [0] * (n + 1)
     bots: list[tuple[int, ...]] = [()] * (n + 1)
     for v in range(1, n + 1):
@@ -406,7 +567,7 @@ def oracle_adjacency(inst: RdvInstance) -> list[list[int]]:
                         continue
                     node = b
                     for _ in range(depths[b] - du):
-                        node = parent(node)
+                        node = parent[node]
                     if node == u:
                         hit = True
                         break
@@ -418,12 +579,13 @@ def oracle_adjacency(inst: RdvInstance) -> list[list[int]]:
 
 def _bfs_depths(tree: HostTree) -> list[int]:
     depths = [0] * (tree.node_count + 1)
+    first, kids = tree._first, tree._kids
     queue = [tree.root]
     while queue:
         nxt: list[int] = []
         for node in queue:
             d = depths[node] + 1
-            for c in tree.children(node):
+            for c in kids[first[node] : first[node + 1]]:
                 depths[c] = d
                 nxt.append(c)
         queue = nxt

@@ -10,9 +10,10 @@ ordered greedy provably underperforms.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
-from .core import HostTree, RdvInstance, Vertex, VertexPath, VertexSubtree
+from .core import HostTree, RdvInstance, Vertex, VertexSubtree
 
 
 @dataclass(frozen=True)
@@ -55,27 +56,37 @@ def gen_random(cfg: GenConfig) -> RdvInstance:
         open_nodes.append(node)
     tree = HostTree(parents)
 
-    vertices: list[Vertex] = []
     if cfg.delta == 1:
-        vertices.extend(_plain_vertices(tree, cfg.n_vertices, rng))
-    else:
-        descendants = _descendant_lists(tree)
-        for _ in range(cfg.n_vertices):
-            top = rng.randint(1, cfg.tree_nodes)
-            pool = descendants[top]
-            k = rng.randint(1, cfg.delta)
-            bottoms: list[int] = []
-            for _ in range(k):
-                b = pool[rng.randrange(len(pool))]
-                if b not in bottoms:
-                    bottoms.append(b)
-            vertices.append(VertexSubtree(top, tuple(bottoms)))
-    return RdvInstance(tree, tuple(vertices), cfg.delta)
+        tops, bottoms = _plain_vertices(tree, cfg.n_vertices, rng)
+        return RdvInstance.from_columns(
+            tree, array("q", tops), array("q", bottoms), None, 1
+        )
+    descendants = _descendant_lists(tree)
+    tops = []
+    bottoms = []
+    offsets = [0]
+    for _ in range(cfg.n_vertices):
+        top = rng.randint(1, cfg.tree_nodes)
+        pool = descendants[top]
+        k = rng.randint(1, cfg.delta)
+        picked: list[int] = []
+        for _ in range(k):
+            b = pool[rng.randrange(len(pool))]
+            if b not in picked:
+                picked.append(b)
+        tops.append(top)
+        bottoms += picked
+        offsets.append(len(bottoms))
+    return RdvInstance.from_columns(
+        tree, array("q", tops), array("q", bottoms), array("q", offsets), cfg.delta
+    )
 
 
-def _plain_vertices(tree: HostTree, n: int, rng: random.Random) -> list[VertexPath]:
-    """``n`` vertices, each a uniform bottom node below a uniform
-    ancestor-or-self of it as top.
+def _plain_vertices(
+    tree: HostTree, n: int, rng: random.Random
+) -> tuple[list[int], list[int]]:
+    """Tops and bottoms of ``n`` vertices, each a uniform bottom node
+    below a uniform ancestor-or-self of it as top.
 
     The depth of each vertex's top is drawn first; one preorder pass then
     resolves every top at once from the path of ancestors of the node it
@@ -100,7 +111,7 @@ def _plain_vertices(tree: HostTree, n: int, rng: random.Random) -> list[VertexPa
 
     tops = [0] * n
     path = [0] * (max(depth) + 1)  # path[d]: ancestor at depth d of node
-    children = tree._children
+    kid_first, kids = tree._first, tree._kids
     stack = [1]
     while stack:
         node = stack.pop()
@@ -109,19 +120,21 @@ def _plain_vertices(tree: HostTree, n: int, rng: random.Random) -> list[VertexPa
         while v >= 0:
             tops[v] = path[top_depth[v]]
             v = nxt[v]
-        stack.extend(children[node])
-    return [VertexPath(t, b) for t, b in zip(tops, bottoms)]
+        stack.extend(kids[kid_first[node] : kid_first[node + 1]])
+    return tops, bottoms
 
 
 def _descendant_lists(tree: HostTree) -> list[list[int]]:
     """Descendants-or-self per node, in BFS order from the node."""
     n = tree.node_count
+    first, kids = tree._first, tree._kids.tolist()
+    children = [tuple(kids[first[u] : first[u + 1]]) for u in range(n + 1)]
     out: list[list[int]] = [[] for _ in range(n + 1)]
     for node in range(1, n + 1):
         acc = [node]
         head = 0
         while head < len(acc):
-            acc.extend(tree.children(acc[head]))
+            acc.extend(children[acc[head]])
             head += 1
         out[node] = acc
     return out
@@ -137,8 +150,9 @@ def gen_dense(n: int) -> RdvInstance:
     if n < 2:
         raise ValueError(f"dense family needs n >= 2, got {n}")
     parents = [0] + list(range(1, n))
-    vertices = tuple(VertexPath((i + 1) // 2, i) for i in range(1, n + 1))
-    return RdvInstance(HostTree(parents), vertices, 1)
+    tops = array("q", [(i + 1) // 2 for i in range(1, n + 1)])
+    bottoms = array("q", range(1, n + 1))
+    return RdvInstance.from_columns(HostTree(parents), tops, bottoms, None, 1)
 
 
 def gen_comb(n: int, seed: int) -> RdvInstance:
@@ -160,10 +174,11 @@ def gen_comb(n: int, seed: int) -> RdvInstance:
         parents[2 * i - 1] = 2 * i - 1  # l_i hangs below s_i
     ids = list(range(n))
     random.Random(seed).shuffle(ids)
-    vertices: list[Vertex] = [VertexPath(1, 1)] * n
+    tops = array("q", [0]) * n
     for i, v in enumerate(ids, start=1):
-        vertices[v] = VertexPath(2 * i - 1, 2 * i)
-    return RdvInstance(HostTree(parents), tuple(vertices), 1)
+        tops[v] = 2 * i - 1
+    bottoms = array("q", [t + 1 for t in tops])
+    return RdvInstance.from_columns(HostTree(parents), tops, bottoms, None, 1)
 
 
 def intervals_to_rdv(intervals: list[tuple[int, int]]) -> RdvInstance:
@@ -190,8 +205,9 @@ def intervals_to_rdv(intervals: list[tuple[int, int]]) -> RdvInstance:
             bottom[k] = rank
     n_nodes = max(2 * len(intervals), 1)
     parents = [0] + list(range(1, n_nodes))
-    vertices = tuple(VertexPath(top[k], bottom[k]) for k in range(len(intervals)))
-    return RdvInstance(HostTree(parents), vertices, 1)
+    return RdvInstance.from_columns(
+        HostTree(parents), array("q", top), array("q", bottom), None, 1
+    )
 
 
 def fixture_trampoline() -> tuple[list[list[int]], list[int]]:

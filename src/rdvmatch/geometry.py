@@ -88,30 +88,40 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     x = [0] * (n + 1)
     y = [0] * (n + 1)
     r = [0] * (n + 1)
-    children = tree._children
+    first, kids = tree._first, tree._kids
 
     # depth-first, children left to right; an internal node also pushes
-    # its exit mark ~node, popped once its whole subtree is numbered
+    # its exit mark ~node, popped once its whole subtree is numbered.
+    # Children are pushed one by one, last first, straight from the
+    # children column (no slice per node).  ``leaf`` is the last leaf
+    # numbered and ``next_leaf`` the next; every node entered or left
+    # stores one of those two objects, so a tree allocates one int per
+    # leaf, not one per coordinate
     stack = [tree.root]
-    leaf_count = depth = 0
+    push = stack.append
+    depth = leaf = 0
+    next_leaf = 1
     while stack:
         node = stack.pop()
         if node < 0:
-            r[~node] = leaf_count
+            r[~node] = leaf
             depth -= 1
             continue
         y[node] = depth
-        x[node] = leaf_count + 1
-        kids = children[node]
-        if kids:
-            stack.append(~node)
-            stack.extend(reversed(kids))
-            depth += 1
-        else:
-            leaf_count += 1
-            r[node] = leaf_count
+        x[node] = next_leaf
+        lo = first[node]
+        hi = first[node + 1] - 1
+        if lo > hi:
+            r[node] = leaf = next_leaf
+            next_leaf = leaf + 1
+            continue
+        push(~node)
+        depth += 1
+        while hi >= lo:
+            push(kids[hi])
+            hi -= 1
 
-    return NodeCoords(tuple(x), tuple(y), tuple(r), leaf_count)
+    return NodeCoords(tuple(x), tuple(y), tuple(r), leaf)
 
 
 def segment_height(top_depth: int, n: int, rank: int) -> int:

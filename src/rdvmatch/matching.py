@@ -28,13 +28,7 @@ from __future__ import annotations
 
 from array import array
 
-from .core import (
-    Matching,
-    RdvInstance,
-    VertexPath,
-    bottom_up_order,
-    checked_coordinates,
-)
+from .core import Matching, RdvInstance, bottom_up_order, checked_coordinates
 from .geometry import NodeCoords, ray_origin, segment_height
 from .rayshoot import RayShootIndex
 
@@ -108,10 +102,14 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     halving that stops at a node holding a free vertex or not deeper than
     the current top: O(log |T|) amortized per ray, as path halving
     without ranks guarantees.
+
+    The loop reads the instance's columns and writes each pair into a
+    mate array, which becomes the :class:`Matching` as it is.
     """
     order = bottom_up_order(inst, coords)
-    vertices = inst.vertices
-    n = len(vertices)
+    tops, bots, offsets = inst.tops, inst.bots, inst.offsets
+    plain = offsets is None
+    n = len(tops)
     y = coords.y
     parent = inst.tree._parent
     link = [0] * len(parent)  # 0 until the node is linked
@@ -119,13 +117,14 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     tail = [0] * len(parent)
     nxt = [0] * (n + 1)
     free_ys = [0] * (n + 1)
-    pairs: list[tuple[int, int]] = []
+    mate = array("q", [0]) * (n + 1)
     for rank, v in enumerate(order, start=1):
-        vert = vertices[v - 1]
-        top = vert[0]
+        top = tops[v - 1]
         depth = y[top]
         best = best_node = best_ys = 0
-        for u in (vert[1],) if isinstance(vert, VertexPath) else vert[1]:
+        # one ray per bottom: a 1-tuple on a plain instance, else the
+        # vertex's slice of the bottoms column
+        for u in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
             while not head[u] and y[u] > depth:
                 # u stays empty for good: link it to its parent on the
                 # first visit, later halve the path through its link
@@ -139,7 +138,8 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
                 best_node = u
         if best:
             head[best_node] = nxt[best]
-            pairs.append((best, v))
+            mate[best] = v
+            mate[v] = best
         else:
             free_ys[v] = segment_height(depth, n, rank)
             if head[top]:
@@ -147,7 +147,7 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
             else:
                 head[top] = v
             tail[top] = v
-    return Matching(pairs)
+    return Matching.from_mates(mate)
 
 
 def rayshoot_greedy(inst: RdvInstance) -> Matching:
@@ -165,7 +165,7 @@ def rayshoot_greedy(inst: RdvInstance) -> Matching:
     index = RayShootIndex(max(coords.leaf_count, 1), n)
     x, y, r = coords.x, coords.y, coords.r
     free_ys = array("q", [0]) * (n + 1)
-    pairs: list[tuple[int, int]] = []
+    mate = array("q", [0]) * (n + 1)
     for rank, v in enumerate(order, start=1):
         best = None
         best_ys = 0
@@ -176,12 +176,13 @@ def rayshoot_greedy(inst: RdvInstance) -> Matching:
                 best_ys = free_ys[hit]
         if best is not None:
             index.delete(best)
-            pairs.append((best, v))
+            mate[best] = v
+            mate[v] = best
         else:
             top = inst.top(v)
             ys = free_ys[v] = segment_height(y[top], n, rank)
             index.insert(v, x[top], r[top], ys)
-    return Matching(pairs)
+    return Matching.from_mates(mate)
 
 
 def maximum_matching_oracle(

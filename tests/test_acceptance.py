@@ -8,16 +8,29 @@ the growth-ratio gate, whose threshold is fixed at 2.8x per doubling.
 
 import random
 import sys
+import tracemalloc
+
+import pytest
 
 from rdvmatch.bench import bench_sweep, doubling_ratios
 from rdvmatch.core import (
+    HostTree,
+    RdvInstance,
+    VertexPath,
     adjacency_oracle,
     bottom_up_order,
     compress_tree,
     oracle_adjacency,
     validate_instance,
 )
-from rdvmatch.gen import GenConfig, fixture_trampoline, gen_comb, gen_dense, gen_random
+from rdvmatch.gen import (
+    GenConfig,
+    fixture_trampoline,
+    gen_comb,
+    gen_dense,
+    gen_random,
+    intervals_to_rdv,
+)
 from rdvmatch.geometry import (
     assign_coordinates,
     build_ray,
@@ -32,6 +45,7 @@ from rdvmatch.matching import (
     is_simple_vertex,
     maximum_matching_oracle,
 )
+from rdvmatch.io import parse_instance, write_instance
 from rdvmatch.rayshoot import RayShootIndex
 
 from test_matching import chain_instance
@@ -62,6 +76,46 @@ def test_c1_delayed_greedy_is_maximum():
         want, _ = maximum_matching_oracle(oracle_adjacency(inst), bound=22)
         assert got == want, f"seed {seed}: delayed {got} != maximum {want}"
     print(f"ACCEPTANCE C1 optimality vs exact oracle: PASS ({instances} instances, n <= 22)")
+
+
+def _star(n):
+    """Every vertex runs from the root to one of n leaves: a clique."""
+    leaves = [VertexPath(1, 2 + i % n) for i in range(n)]
+    return RdvInstance(HostTree([0] + [1] * n), tuple(leaves), 1)
+
+
+def test_c1b_delayed_greedy_is_maximum_at_scale():
+    """C1b: delayed greedy matches Edmonds' blossom algorithm at n ~ 1000.
+
+    The graph comes from ``oracle_adjacency``, and networkx's
+    ``max_weight_matching(G, maxcardinality=True)`` gives the maximum.
+    Shapes whose graph has Theta(n^2) edges (dense, chain, star and the
+    random path tree) run at the size where they hold 35k-61k edges, as
+    many as the random tree has at n = 1000, so that the whole check
+    stays within a few seconds.
+    """
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0xC1B)
+    shapes = {
+        "random": gen_random(GenConfig(seed=1, tree_nodes=1000, n_vertices=1000)),
+        "comb": gen_comb(1000, seed=1),
+        "intervals": intervals_to_rdv(
+            [(a, a + rng.randint(0, 30)) for a in (rng.randint(0, 3000) for _ in range(1000))]
+        ),
+        "dense": gen_dense(400),
+        "chain": chain_instance(400),
+        "star": _star(300),
+        "path": gen_random(GenConfig(seed=2, tree_nodes=500, n_vertices=500, max_branching=1)),
+    }
+    for name, inst in shapes.items():
+        adjacency = oracle_adjacency(inst)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, inst.n + 1))
+        graph.add_edges_from((i, j) for i in range(1, inst.n + 1) for j in adjacency[i] if i < j)
+        want = len(nx.max_weight_matching(graph, maxcardinality=True))
+        got = len(delayed_greedy(inst))
+        assert got == want, f"{name}: delayed {got} != maximum {want}"
+    print(f"ACCEPTANCE C1b optimality vs blossom: PASS ({len(shapes)} shapes, n <= 1000)")
 
 
 def test_c2_segment_query_equals_path_oracle():
@@ -242,6 +296,35 @@ def test_c6b_line_event_growth_ratio():
         "ACCEPTANCE C6b line-event growth: PASS "
         f"({len(families)} families, n = 2^10..2^13, worst ratio {worst:.2f})"
     )
+
+
+# bytes per vertex of the tracemalloc peak below; the solve measured 193,
+# and the instance model of tuples per vertex and per node measured 490
+PEAK_BYTES_PER_VERTEX = 245
+
+
+def test_c6c_peak_memory_per_vertex():
+    """C6c: parsing and solving a random instance peaks at <= 245 bytes
+    per vertex.
+
+    The machine-independent memory gate next to C6 and C6b: tracemalloc
+    counts the bytes Python allocates, whatever the machine's speed.
+    """
+    n = 1 << 13
+    text = write_instance(
+        gen_random(GenConfig(seed=1, tree_nodes=n, n_vertices=n, max_branching=3))
+    )
+    tracemalloc.start()
+    try:
+        delayed_greedy(parse_instance(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_vertex = peak / n
+    assert per_vertex <= PEAK_BYTES_PER_VERTEX, (
+        f"peak {peak} bytes is {per_vertex:.0f} per vertex, over {PEAK_BYTES_PER_VERTEX}"
+    )
+    print(f"ACCEPTANCE C6c peak memory: PASS ({per_vertex:.0f} bytes/vertex at n = {n})")
 
 
 def test_c7_bottom_up_peeling_is_simple():

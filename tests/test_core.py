@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from rdvmatch.core import (
     validate_instance,
 )
 from rdvmatch.geometry import assign_coordinates
-from rdvmatch.io import write_instance
+from rdvmatch.io import parse_instance, write_instance
+from rdvmatch.matching import delayed_greedy, delayed_greedy_delta
 
 from conftest import random_instance
 
@@ -233,8 +236,92 @@ class TestMatchingType:
         with pytest.raises(ValueError):
             Matching([(4, 4)])
 
+    def test_pair_check_messages(self):
+        with pytest.raises(ValueError, match=r"^vertex 4 cannot be matched to itself$"):
+            Matching([(1, 2), (4, 4)])
+        with pytest.raises(ValueError, match=r"^vertex 2 appears in more than one pair$"):
+            Matching([(1, 2), (3, 2)])
+        with pytest.raises(ValueError, match=r"^vertex 1 appears in more than one pair$"):
+            Matching([(1, 2), (1, 3)])
+
+    def test_mate_array_equals_pair_built(self):
+        by_mates = Matching.from_mates(array("q", [0, 3, 5, 1, 0, 2, 0]))
+        by_pairs = Matching([(5, 2), (1, 3)])
+        assert by_mates == by_pairs and by_pairs == by_mates
+        assert hash(by_mates) == hash(by_pairs)
+        assert len(by_mates) == len(by_pairs) == 2
+        assert by_mates.edges() == by_pairs.edges() == [(1, 3), (2, 5)]
+        assert by_mates.to_text() == by_pairs.to_text() == "matching 2\ne 1 3\ne 2 5\n"
+        assert by_mates.pairs == by_pairs.pairs
+        assert by_mates.vertices() == by_pairs.vertices() == {1, 2, 3, 5}
+        assert list(by_mates) == list(by_pairs)
+        assert repr(by_mates) == repr(by_pairs)
+        assert by_mates != Matching([(1, 3)])
+        assert Matching.from_mates(array("q", [0, 0, 0])) == Matching()
+
+    def test_solver_matchings_equal_pair_built(self):
+        for seed in range(30):
+            inst = random_instance(seed, n=40, tree_nodes=50, delta=1 + seed % 2)
+            entry = delayed_greedy if inst.delta == 1 else delayed_greedy_delta
+            got = entry(inst)
+            rebuilt = Matching(got.edges())
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert len(got) == len(rebuilt)
+            assert got.to_text() == rebuilt.to_text()
+            # mate arrays of equal length compare directly
+            assert got == entry(parse_instance(write_instance(inst)))
+
+
     def test_normalization_and_text(self):
         m = Matching([(5, 2), (1, 3)])
         assert m.edges() == [(1, 3), (2, 5)]
         assert m.to_text() == "matching 2\ne 1 3\ne 2 5\n"
         assert m == Matching([(2, 5), (3, 1)])
+
+
+class TestColumns:
+    def test_plain_instance_has_no_offsets(self):
+        inst = RdvInstance(HostTree([0, 1]), (VertexPath(1, 2), VertexPath(2, 2)), 1)
+        assert inst.offsets is None
+        assert list(inst.tops) == [1, 2] and list(inst.bots) == [2, 2]
+        assert inst.vertices == (VertexPath(1, 2), VertexPath(2, 2))
+
+    def test_offsets_index_the_bottoms(self):
+        inst = RdvInstance(
+            HostTree([0, 1, 1]), (VertexSubtree(1, (2, 3)), VertexSubtree(2, (2,))), 2
+        )
+        assert list(inst.offsets) == [0, 2, 3]
+        assert list(inst.bots) == [2, 3, 2]
+        assert inst.bottoms(1) == (2, 3) and inst.bottoms(2) == (2,)
+        assert inst.vertices == (VertexSubtree(1, (2, 3)), VertexSubtree(2, (2,)))
+
+    def test_views_read_as_the_parser_builds(self):
+        # a single bottom reads as a VertexPath exactly when delta is 1
+        tree = HostTree([0, 1, 1])
+        plain = RdvInstance(tree, (VertexSubtree(1, (2,)),), 1)
+        assert plain.offsets is None and plain.vertices == (VertexPath(1, 2),)
+        mixed = RdvInstance(tree, (VertexPath(1, 2), VertexSubtree(1, (2, 3))), 1)
+        assert mixed.vertices == (VertexPath(1, 2), VertexSubtree(1, (2, 3)))
+        assert parse_instance(write_instance(mixed)) == mixed
+
+    def test_columns_and_tuples_build_equal_instances(self):
+        for seed in range(20):
+            inst = random_instance(seed, delta=1 + seed % 3)
+            again = RdvInstance(inst.tree, inst.vertices, inst.delta)
+            assert again == inst and hash(again) == hash(inst)
+            assert again.vertices == inst.vertices
+
+    def test_instance_is_immutable(self):
+        inst = RdvInstance(HostTree([0]), (VertexPath(1, 1),), 1)
+        with pytest.raises(AttributeError):
+            inst.delta = 2
+
+    def test_tree_children_in_file_order(self):
+        tree = HostTree([3, 3, 0, 1, 3, 1])
+        assert tree.children(3) == (1, 2, 5)
+        assert tree.children(1) == (4, 6)
+        assert tree.children(2) == ()
+        assert tree.roots() == [3] and tree.root == 3
+        odd = HostTree([0, 7, -1, 1])
+        assert odd.children(1) == (4,)
+        assert odd.roots() == [1]

@@ -93,9 +93,9 @@ def test_file_round_trip(tmp_path):
 
 
 # what the fuzz splices into valid files: a comment start, a bare carriage
-# return (splitlines breaks the line there) and integer spellings that
-# int() accepts
-INJECTED = ("#", "\r", "+5", "1_000")
+# return (splitlines breaks the line there), integer spellings that int()
+# accepts, an id beyond 64 bits and a negative id
+INJECTED = ("#", "\r", "+5", "1_000", "99999999999999999999", "-3")
 
 
 @st.composite
@@ -145,3 +145,119 @@ def test_malformed_text_gives_instance_or_format_error(text):
     violations = validate_instance(inst)
     assert isinstance(violations, list)
     assert all(isinstance(v, str) for v in violations)
+
+
+def walk_parse(text):
+    """Reference reader: one record per line, each split and converted on
+    its own, vertices built as tuples.  The parser's bulk path must agree
+    with it on every text, instance or error."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    records = [(k, line.split()) for k, line in enumerate(lines, 1) if line.split()]
+
+    def ints(lineno, tokens):
+        for t in tokens:
+            try:
+                int(t)
+            except ValueError:
+                raise InstanceFormatError(lineno, f"expected integer, got {t!r}") from None
+        return [int(t) for t in tokens]
+
+    def record(k, expected):
+        if k >= len(records):
+            raise InstanceFormatError(
+                len(lines) + 1, f"unexpected end of file, expected '{expected}' record"
+            )
+        return records[k]
+
+    lineno, toks = record(0, "tree")
+    if toks[0] != "tree" or len(toks) != 2:
+        raise InstanceFormatError(lineno, "expected 'tree <N>'")
+    (n_nodes,) = ints(lineno, toks[1:])
+    if n_nodes < 1:
+        raise InstanceFormatError(lineno, f"node count must be positive, got {n_nodes}")
+    lineno, toks = record(1, "parents")
+    if toks[0] != "parents":
+        raise InstanceFormatError(lineno, "expected 'parents <p_1> ... <p_N>'")
+    parents = ints(lineno, toks[1:])
+    if len(parents) != n_nodes:
+        raise InstanceFormatError(
+            lineno, f"expected {n_nodes} parent entries, got {len(parents)}"
+        )
+    lineno, toks = record(2, "vertices")
+    if toks[0] != "vertices" or len(toks) != 3:
+        raise InstanceFormatError(lineno, "expected 'vertices <n> <delta>'")
+    n_vertices, delta = ints(lineno, toks[1:])
+    if n_vertices < 0:
+        raise InstanceFormatError(lineno, f"vertex count must be >= 0, got {n_vertices}")
+    vertices = []
+    for lineno, toks in records[3:]:
+        if len(vertices) == n_vertices:
+            raise InstanceFormatError(lineno, f"unexpected trailing record {toks[0]!r}")
+        if toks[0] != "v" or len(toks) < 3:
+            raise InstanceFormatError(lineno, "expected 'v <t_id> <b_1> [...]'")
+        ids = ints(lineno, toks[1:])
+        if delta == 1 and len(ids) == 2:
+            vertices.append(VertexPath(*ids))
+        else:
+            vertices.append(VertexSubtree(ids[0], tuple(ids[1:])))
+    if len(vertices) < n_vertices:
+        record(len(records), "v")
+    return RdvInstance(HostTree(parents), tuple(vertices), delta)
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except InstanceFormatError as exc:
+        return ("error", exc.line, exc.message)
+    return ("instance", inst, inst.vertices, write_instance(inst), validate_instance(inst))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_bulk_parse_agrees_with_line_walker(text):
+    """The bulk path and a line-by-line reading give the same instance
+    (columns, tuple view, text and violations) or the same error."""
+    assert _outcome(parse_instance, text) == _outcome(walk_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tree 3\nparents 0 1 1\nvertices 2 1\n\nv 1 2\n  \nv\t1   3 \n\n",
+        "tree 3\nparents 0 1 1\nvertices 2 2\n v 1 2 3 # both\nv 2 2\n",
+        "tree 3\nparents 0 1 1\nvertices 2 1\nv 1 2 3\nv 1 3\n",
+        "tree 3\nparents 0 1 1\nvertices 0 3\n",
+        "tree 1\nparents 0\nvertices 1 1\nv +1 1_0\n",
+    ],
+    ids=[
+        "blank-and-tabs", "delta2-comment", "multi-bottom-delta1", "empty-delta3", "spellings"
+    ],
+)
+def test_irregular_valid_files_parse_like_the_walker(text):
+    assert _outcome(parse_instance, text) == _outcome(walk_parse, text)
+
+
+def test_record_split_across_lines_is_refused():
+    # every third token is a 'v' and the token count is 3n, but the first
+    # record ends after its top: the line starts decide, not the tokens
+    text = "tree 4\nparents 0 1 1 1\nvertices 2 1\nv 1\n2 v 3 4\n"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert (exc.value.line, exc.value.message) == (4, "expected 'v <t_id> <b_1> [...]'")
+
+
+def test_ids_beyond_int64_parse_and_are_reported():
+    big = 99999999999999999999
+    inst = parse_instance(f"tree 1\nparents 0\nvertices 1 1\nv 1 {big}\n")
+    assert inst.bottoms(1) == (big,)
+    assert validate_instance(inst) == [f"vertex 1: node id {big} out of range"]
+    inst = parse_instance(f"tree 2\nparents 0 {big}\nvertices 1 2\nv {big} 1 2\n")
+    assert inst.vertices == (VertexSubtree(big, (1, 2)),)
+    assert validate_instance(inst) == [
+        f"node 2: parent {big} out of range 1..2",
+        f"vertex 1: node id {big} out of range",
+    ]
+    assert write_instance(inst) == f"tree 2\nparents 0 {big}\nvertices 1 2\nv {big} 1 2\n"
