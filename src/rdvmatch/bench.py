@@ -1,11 +1,12 @@
 """Cross-checking harness and growth-rate measurement.
 
-``crosscheck`` replays a matching against the instance to confirm
-validity, per-order maximality, and (at small sizes) agreement with the
-exact search oracle.  ``bench_sweep`` times the delayed greedy across
-doubling instance sizes and emits CSV rows; growth ratios across
-doublings are the machine-independent way to see that run time tracks
-the vertex count, not the edge count.
+``crosscheck`` checks a matching against the reference oracles: its
+pairs against the materialized adjacency, the matching itself against
+the reference greedy in the same order, and (at small sizes) its size
+against the exact search oracle.  ``bench_sweep`` times the delayed
+greedy across doubling instance sizes and emits CSV rows; growth ratios
+across doublings are the machine-independent way to see that run time
+tracks the vertex count, not the edge count.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .core import Matching, RdvInstance, adjacency_oracle, bottom_up_order, oracle_adjacency
+from .core import Matching, RdvInstance, bottom_up_order, oracle_adjacency
 from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
-from .matching import delayed_greedy, maximum_matching_oracle
+from .matching import delayed_greedy, greedy_reference, maximum_matching_oracle
 
 CSV_FIELDS = ["n", "tree_nodes", "edges", "algo", "median_ns", "matching_size", "seed"]
 NOT_MATERIALIZED = "not materialized"
@@ -59,60 +60,47 @@ class CrosscheckReport:
 
 
 def verify_matching(inst: RdvInstance, matching: Matching) -> list[CheckEntry]:
-    """Validity and per-order maximality of a matching, via the oracle.
+    """Validity and per-order maximality of a matching, via the oracles.
 
-    Replays the processing order: a matched pair must consume a free
-    earlier vertex, and a vertex that stays free must have had no free
-    neighbor when processed.
+    Every pair must be an edge of :func:`oracle_adjacency`, and the
+    matching must be the one :func:`greedy_reference` finds over that
+    adjacency in bottom-up order; the first vertex in the order whose
+    partner differs names the fault.
     """
-    entries: list[CheckEntry] = []
-
-    bad_pairs = [
-        (i, j) for i, j in matching.edges() if not adjacency_oracle(inst, i, j)
-    ]
-    entries.append(
+    adjacency = oracle_adjacency(inst)
+    bad_pairs = [(i, j) for i, j in matching.edges() if j not in adjacency[i]]
+    entries = [
         CheckEntry(
             "validity",
             not bad_pairs,
             "all pairs are edges" if not bad_pairs else f"non-edges in matching: {bad_pairs}",
         )
-    )
+    ]
 
-    coords = assign_coordinates(inst.tree)
-    order = bottom_up_order(inst, coords)
-    pos = {v: p for p, v in enumerate(order)}
-    partner: dict[int, int] = {}
-    for i, j in matching.edges():
-        partner[i] = j
-        partner[j] = i
-    free: set[int] = set()
-    problem = ""
-    for v in order:
-        mate = partner.get(v)
-        if mate is not None and pos[mate] < pos[v]:
-            if mate in free:
-                free.remove(mate)
-            else:
-                problem = f"vertex {v} matched to {mate}, which was not free"
-                break
-        else:
-            blocker = next(
-                (u for u in free if adjacency_oracle(inst, u, v)), None
-            )
-            if blocker is not None and mate is None:
-                problem = f"vertex {v} left free despite free neighbor {blocker}"
-                break
-            if blocker is not None:
-                problem = (
-                    f"vertex {v} deferred to later partner {mate} "
-                    f"despite free neighbor {blocker}"
-                )
-                break
-            free.add(v)
+    order = bottom_up_order(inst, assign_coordinates(inst.tree))
+    expected = greedy_reference(adjacency, order)
+    got, want = _partners(matching), _partners(expected)
+    v = next((v for v in order if got.get(v) != want.get(v)), None)
+    if v is None:
+        problem = ""
+    elif v not in got:
+        problem = f"vertex {v} left free despite free neighbor {want[v]}"
+    elif v not in want:
+        problem = f"vertex {v} matched to {got[v]}, which the reference greedy leaves free"
+    else:
+        problem = f"vertex {v} matched to {got[v]}, not to the reference greedy's {want[v]}"
     entries.append(
-        CheckEntry("order-maximality", not problem, problem or "greedy replay consistent")
+        CheckEntry("order-maximality", not problem, problem or "equals the reference greedy")
     )
     return entries
+
+
+def _partners(matching: Matching) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, j in matching.edges():
+        out[i] = j
+        out[j] = i
+    return out
 
 
 def crosscheck(inst: RdvInstance, bound: int = 24) -> CrosscheckReport:

@@ -71,10 +71,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _load(args.file)
-    violations = validate_instance(inst)
-    if violations:
-        raise SystemExit("error: invalid instance: " + "; ".join(violations))
     try:
+        checked_coordinates(inst)
         size, _witness = maximum_matching_oracle(oracle_adjacency(inst), args.bound)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -104,8 +102,12 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.max_exp < args.min_exp:
         raise SystemExit("error: --max-exp must be >= --min-exp")
+    if args.min_exp < 0:
+        raise SystemExit("error: --min-exp must be at least 0")
     if args.repeats < 1:
         raise SystemExit("error: --repeats must be at least 1")
+    if args.crosscheck < 0:
+        raise SystemExit("error: --crosscheck must be at least 0")
     failures = 0
     if args.crosscheck:
         for k in range(args.crosscheck):
@@ -122,12 +124,15 @@ def _cmd_bench(args) -> int:
                 print(f"crosscheck {k} FAILED [{entry.name}]: {entry.detail}", file=sys.stderr)
         print(f"crosscheck: {args.crosscheck - failures}/{args.crosscheck} passed", file=sys.stderr)
 
-    records = bench_mod.bench_sweep(
-        args.family,
-        range(args.min_exp, args.max_exp + 1),
-        repeats=args.repeats,
-        seed=args.seed,
-    )
+    try:
+        records = bench_mod.bench_sweep(
+            args.family,
+            range(args.min_exp, args.max_exp + 1),
+            repeats=args.repeats,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # a size below the family's smallest
+        raise SystemExit(f"error: {exc}")
     _emit(args.output, bench_mod.records_to_csv(records, args.repeats))
     return 1 if failures else 0
 

@@ -51,13 +51,6 @@ def _column(values: Sequence[int]) -> IntColumn:
         return list(values)
 
 
-def _same(a, b) -> bool:
-    """Equal contents, whatever the column types (array, list or None)."""
-    if type(a) is type(b) or a is None or b is None:
-        return a == b
-    return list(a) == list(b)
-
-
 class HostTree:
     """Rooted ordered tree over nodes ``1..node_count``.
 
@@ -125,7 +118,7 @@ class HostTree:
         return self._kids[0]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HostTree) and _same(self._parent, other._parent)
+        return isinstance(other, HostTree) and self._parent == other._parent
 
     def __hash__(self) -> int:
         return hash(tuple(self._parent))
@@ -238,9 +231,9 @@ class RdvInstance:
         return (
             self.delta == other.delta
             and self.tree == other.tree
-            and _same(self.tops, other.tops)
-            and _same(self.bots, other.bots)
-            and _same(self.offsets, other.offsets)
+            and self.tops == other.tops
+            and self.bots == other.bots
+            and self.offsets == other.offsets
         )
 
     def __hash__(self) -> int:
@@ -256,52 +249,49 @@ class RdvInstance:
 class Matching:
     """Set of matched vertex pairs with no shared endpoint.
 
-    ``Matching(pairs)`` checks its pairs.  The matching loops build one
-    with :meth:`from_mates` instead, which keeps their mate array as it
-    is; :attr:`pairs` is then built on first use.
+    A matching is a mate array (``array('q')``, slot 0 unused): vertex v
+    is matched to ``mate[v]``, or free when ``mate[v] == 0``.  The
+    matching loops build one with :meth:`from_mates`, which keeps their
+    array as it is; ``Matching(pairs)`` checks hand-built pairs and
+    sizes the array by their largest id.
     """
 
-    __slots__ = ("_pairs", "_mate", "_size")
+    __slots__ = ("_mate", "_size")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        seen: set[int] = set()
-        norm: set[tuple[int, int]] = set()
+        pairs = list(pairs)
+        mate = array("q", [0]) * (max(map(max, pairs), default=0) + 1)
         for a, b in pairs:
             if a == b:
                 raise ValueError(f"vertex {a} cannot be matched to itself")
-            if a in seen or b in seen:
-                dup = a if a in seen else b
+            if a < 1 or b < 1:
+                raise ValueError(f"vertex {min(a, b)} is not a vertex id (ids start at 1)")
+            if mate[a] or mate[b]:
+                dup = a if mate[a] else b
                 raise ValueError(f"vertex {dup} appears in more than one pair")
-            seen.add(a)
-            seen.add(b)
-            norm.add((a, b) if a < b else (b, a))
-        self._pairs = frozenset(norm)
-        self._mate = None
-        self._size = len(norm)
+            mate[a] = b
+            mate[b] = a
+        self._mate = mate
+        self._size = len(pairs)
 
     @classmethod
-    def from_mates(cls, mate: Sequence[int]) -> Matching:
+    def from_mates(cls, mate: array) -> Matching:
         """Matching whose vertex v is matched to ``mate[v]``, or free when
         ``mate[v] == 0`` (slot 0 unused).  The caller guarantees that
-        ``mate`` is symmetric; only the pairs are counted."""
+        ``mate`` is a symmetric ``array('q')``; only the pairs are
+        counted."""
         m = object.__new__(cls)
-        m._pairs = None
         m._mate = mate
         m._size = (len(mate) - mate.count(0)) // 2
         return m
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        if self._pairs is None:
-            self._pairs = frozenset(self.edges())
-        return self._pairs
+        return frozenset(self.edges())
 
     def edges(self) -> list[tuple[int, int]]:
         """Pairs as (i, j) with i < j, sorted lexicographically."""
-        mate = self._mate
-        if mate is None:
-            return sorted(self._pairs)
-        return [(v, m) for v, m in enumerate(mate) if v < m]
+        return [(v, m) for v, m in enumerate(self._mate) if v < m]
 
     def vertices(self) -> set[int]:
         return {v for pair in self.edges() for v in pair}
@@ -321,12 +311,12 @@ class Matching:
         if not isinstance(other, Matching):
             return NotImplemented
         mine, theirs = self._mate, other._mate
-        if type(mine) is type(theirs) and mine is not None and len(mine) == len(theirs):
+        if len(mine) == len(theirs):
             return mine == theirs
-        return self.pairs == other.pairs
+        return self.edges() == other.edges()
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
+        return hash(tuple(self.edges()))
 
     def __repr__(self) -> str:
         return f"Matching({self.edges()!r})"
@@ -607,9 +597,7 @@ def compress_tree(inst: RdvInstance) -> RdvInstance:
     the total size of all vertex subtrees, which is fine at cross-check
     scale (the fast matching path never needs compression).
     """
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
+    checked_coordinates(inst)
     tree = inst.tree
     n_nodes = tree.node_count
 

@@ -31,9 +31,10 @@ makes: validation reads ancestry from its output
 the same arrays.  The perturbation is written once, in
 :func:`segment_height` and :func:`ray_origin`.  The reference loop
 :func:`rdvmatch.matching.rayshoot_greedy` passes their values straight to
-a ray-shooting index; the fast loop answers the same shots with a find
+a ray-shooting index.  The fast loop answers the same shots with a find
 over the host tree, whose leaf ranges are the segments' x-ranges, and
-keeps :func:`segment_height` only to rank the hits of several rays.
+ranks the hits of several rays by bottom-up rank, which orders them as
+their heights do; it calls neither function.
 :class:`HSegment` and :class:`RayQuery` are the per-vertex view used by
 the ``rdvmatch segments`` dump and the tests.
 """

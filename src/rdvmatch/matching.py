@@ -43,21 +43,20 @@ def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
     pos = [0] * len(adjacency)
     for p, v in enumerate(order, start=1):
         pos[v] = p
-    matched = [False] * len(adjacency)
-    pairs: list[tuple[int, int]] = []
+    mate = array("q", [0]) * len(adjacency)
     for v in order:
-        if matched[v]:
+        if mate[v]:
             continue
-        best = None
+        best = 0
         best_pos = len(order) + 1
         for u in adjacency[v]:
-            if not matched[u] and pos[u] < best_pos:
+            if not mate[u] and pos[u] < best_pos:
                 best = u
                 best_pos = pos[u]
-        if best is not None:
-            matched[v] = matched[best] = True
-            pairs.append((v, best))
-    return Matching(pairs)
+        if best:
+            mate[v] = best
+            mate[best] = v
+    return Matching.from_mates(mate)
 
 
 def delayed_greedy(inst: RdvInstance) -> Matching:
@@ -74,7 +73,7 @@ def delayed_greedy(inst: RdvInstance) -> Matching:
 
 def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     """Greedy matching for instances whose vertices have up to delta
-    bottoms: shoot one ray per bottom, keep the hit with maximum ys.
+    bottoms: shoot one ray per bottom, keep the earliest-ranked hit.
 
     Maximal for the processing order, but not necessarily maximum once
     delta exceeds 1.
@@ -85,16 +84,20 @@ def delayed_greedy_delta(inst: RdvInstance) -> Matching:
 def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     """The matching loop shared by both entry points.
 
-    Vertices go in bottom-up order.  A vertex matches the hit with maximum
-    ys (equivalently, minimum bottom-up rank) among its rays' hits, or,
-    with no hit, becomes free and joins the queue of its top node.
+    Vertices go in bottom-up order.  A vertex matches the hit with minimum
+    bottom-up rank among its rays' hits, or, with no hit, becomes free and
+    joins the queue of its top node.  Minimum rank is maximum ys: the
+    order sorts by decreasing top depth, so an earlier rank never has a
+    shallower top, and ties in depth go to the earlier rank.  So the loop
+    keeps each free vertex's rank (``rank_of``) and never computes a
+    height.
 
     The host tree is its own segment tree.  A free vertex's segment spans
     the leaf range of its top node t, and its height orders it first by
     the depth of t, then by rank.  Every free vertex's top is at least as
     deep as the current vertex's top, so the ray from bottom b hits
     exactly the free vertices whose top is an ancestor-or-self of b, and
-    the hit with maximum ys is the front of the queue of the nearest
+    the earliest-ranked hit is the front of the queue of the nearest
     ancestor-or-self of b that holds one.  Queues are FIFO in rank order
     (``head``/``tail`` per node, ``nxt`` per vertex).  A node deeper than
     the current top that holds no free vertex never gets one again, so
@@ -116,12 +119,13 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     head = [0] * len(parent)
     tail = [0] * len(parent)
     nxt = [0] * (n + 1)
-    free_ys = [0] * (n + 1)
+    rank_of = [0] * (n + 1)
     mate = array("q", [0]) * (n + 1)
     for rank, v in enumerate(order, start=1):
         top = tops[v - 1]
         depth = y[top]
-        best = best_node = best_ys = 0
+        best = best_node = 0
+        best_rank = rank  # every hit ranks earlier
         # one ray per bottom: a 1-tuple on a plain instance, else the
         # vertex's slice of the bottoms column
         for u in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
@@ -132,16 +136,16 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
                 w = link[u] = (link[w] or w) if w else parent[u]
                 u = w
             hit = head[u]
-            if hit and free_ys[hit] > best_ys:
+            if hit and rank_of[hit] < best_rank:
                 best = hit
-                best_ys = free_ys[hit]
+                best_rank = rank_of[hit]
                 best_node = u
         if best:
             head[best_node] = nxt[best]
             mate[best] = v
             mate[v] = best
         else:
-            free_ys[v] = segment_height(depth, n, rank)
+            rank_of[v] = rank
             if head[top]:
                 nxt[tail[top]] = v
             else:
@@ -235,7 +239,11 @@ def maximum_matching_oracle(
     full = (1 << (n + 1)) - 2  # bits 1..n
     if n >= 1:
         search(full, 0)
-    return best_size, Matching(best_pairs)
+    mate = array("q", [0]) * (n + 1)
+    for v, u in best_pairs:
+        mate[v] = u
+        mate[u] = v
+    return best_size, Matching.from_mates(mate)
 
 
 def is_simple_vertex(adjacency: list[list[int]], v: int, alive: set[int]) -> bool:

@@ -220,3 +220,23 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--repeats", "0", "--min-exp", "3", "--max-exp", "3"])
         assert str(exc.value) == "error: --repeats must be at least 1"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--min-exp", "-1", "--max-exp", "2"], "error: --min-exp must be at least 0"),
+            (
+                ["--family", "dense", "--min-exp", "0", "--max-exp", "1"],
+                "error: dense family needs n >= 2, got 1",
+            ),
+            (
+                ["--crosscheck", "-3", "--min-exp", "2", "--max-exp", "2"],
+                "error: --crosscheck must be at least 0",
+            ),
+        ],
+        ids=["negative-min-exp", "dense-1-vertex", "negative-crosscheck"],
+    )
+    def test_bench_rejects_bad_input(self, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--repeats", "1", *argv])
+        assert str(exc.value) == message

@@ -243,6 +243,10 @@ class TestMatchingType:
             Matching([(1, 2), (3, 2)])
         with pytest.raises(ValueError, match=r"^vertex 1 appears in more than one pair$"):
             Matching([(1, 2), (1, 3)])
+        with pytest.raises(
+            ValueError, match=r"^vertex 0 is not a vertex id \(ids start at 1\)$"
+        ):
+            Matching([(1, 2), (0, 3)])
 
     def test_mate_array_equals_pair_built(self):
         by_mates = Matching.from_mates(array("q", [0, 3, 5, 1, 0, 2, 0]))

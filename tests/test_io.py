@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdvmatch.core import HostTree, RdvInstance, VertexPath, VertexSubtree, validate_instance
+from rdvmatch.core import (
+    HostTree,
+    RdvInstance,
+    VertexPath,
+    VertexSubtree,
+    _validate,
+    _vertex_violations,
+    _vertices_sound,
+    validate_instance,
+)
 from rdvmatch.io import InstanceFormatError, parse_instance, write_instance
 
 from conftest import random_instance
@@ -261,3 +270,52 @@ def test_ids_beyond_int64_parse_and_are_reported():
         f"vertex 1: node id {big} out of range",
     ]
     assert write_instance(inst) == f"tree 2\nparents 0 {big}\nvertices 1 2\nv {big} 1 2\n"
+
+
+def _vertex_checks_agree(inst):
+    """Where the tree is sound and delta >= 1, the column check passes
+    exactly when the per-vertex walk names no violation; returns the
+    column check's answer there, else None."""
+    coords = _validate(inst)[1]
+    if coords is None or inst.delta < 1:
+        return None
+    sound = _vertices_sound(inst, coords)
+    assert sound == (not _vertex_violations(inst, coords))
+    return sound
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_vertex_column_check_agrees_with_the_walk(text):
+    try:
+        inst = parse_instance(text)
+    except InstanceFormatError:
+        return
+    _vertex_checks_agree(inst)
+
+
+def planted_faults(inst, v):
+    """Copies of ``inst`` whose vertex v has one fault each."""
+    tree, delta = inst.tree, inst.delta
+    top, bottom = inst.top(v), inst.bottoms(v)[0]
+    faulty = [
+        VertexPath(top, tree.node_count + 1),  # out-of-range ids
+        VertexPath(0, bottom),
+        VertexSubtree(top, (bottom, -3)),
+        VertexSubtree(top, (bottom,) * (delta + 1)),  # more bottoms than delta
+        VertexSubtree(top, ()),
+    ]
+    if top != tree.root:
+        faulty.append(VertexPath(top, tree.root))  # a bottom above its top
+    for vertex in faulty:
+        vertices = list(inst.vertices)
+        vertices[v - 1] = vertex
+        yield RdvInstance(tree, vertices, delta)
+
+
+def test_vertex_column_check_agrees_on_planted_faults():
+    for seed in range(60):
+        inst = random_instance(seed, delta=1 + seed % 3)
+        assert _vertex_checks_agree(inst) is True
+        for bad in planted_faults(inst, 1 + seed % inst.n):
+            assert _vertex_checks_agree(bad) is False

@@ -99,6 +99,14 @@ class TestGreedyReference:
         assert greedy_reference(adj, [3, 2, 1]).edges() == [(1, 3)]
         assert greedy_reference(adj, [2, 3, 1]).edges() == [(1, 2)]
 
+    def test_equals_pair_built_matching(self):
+        for seed in range(20):
+            inst = random_instance(seed, delta=1 + seed % 2)
+            order = bottom_up_order(inst, assign_coordinates(inst.tree))
+            m = greedy_reference(oracle_adjacency(inst), order)
+            rebuilt = Matching(m.edges())
+            assert m == rebuilt and rebuilt == m and hash(m) == hash(rebuilt)
+
 
 class TestDelayedGreedy:
     def test_single_vertex(self):
@@ -255,6 +263,15 @@ class TestMaximumMatchingOracle:
         size, witness = maximum_matching_oracle(adj)
         for i, j in witness.edges():
             assert j in adj[i]
+
+    def test_witness_equals_pair_built_matching(self):
+        graphs = [fixture_trampoline()[0]]
+        graphs += [oracle_adjacency(random_instance(seed)) for seed in range(10)]
+        for adj in graphs:
+            size, witness = maximum_matching_oracle(adj)
+            rebuilt = Matching(witness.edges())
+            assert witness == rebuilt and rebuilt == witness
+            assert hash(witness) == hash(rebuilt) and len(rebuilt) == size
 
 
 class TestIsSimpleVertex:
