@@ -73,6 +73,8 @@ def _cmd_oracle(args) -> int:
     inst = _load(args.file)
     try:
         checked_coordinates(inst)
+        if inst.n > args.bound:  # before the quadratic adjacency is built
+            raise ValueError(f"graph has {inst.n} vertices, oracle bound is {args.bound}")
         size, _witness = maximum_matching_oracle(oracle_adjacency(inst), args.bound)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")

@@ -480,106 +480,70 @@ def bottom_up_order(inst: RdvInstance, coords) -> list[int]:
     return sorted(range(1, len(depth)), key=depth.__getitem__, reverse=True)
 
 
-def _walk_depth(tree: HostTree, node: int) -> int:
-    d = 0
-    while tree.parent(node) != 0:
-        node = tree.parent(node)
-        d += 1
-    return d
+def _vertex_nodes(inst: RdvInstance, v: int) -> set[int]:
+    """Host-tree nodes of vertex v: the parent walk from each bottom up
+    to the top.
+
+    The walk reads parent pointers only, never coordinates, so the
+    oracles built on it check the geometric route independently.  A walk
+    that leaves ``1..node_count``, or does not reach the top within
+    ``node_count`` steps (a parent cycle), raises
+    :class:`InvalidInstanceError`.
+    """
+    tree = inst.tree
+    parent, n_nodes = tree._parent, tree.node_count
+    top = inst.top(v)
+    nodes: set[int] = set()
+    for b in inst.bottoms(v):
+        node, steps = b, 0
+        while 1 <= node <= n_nodes and steps < n_nodes:
+            nodes.add(node)
+            if node == top:
+                break
+            node = parent[node]
+            steps += 1
+        else:
+            fault = f"vertex {v}: top {top} not ancestor of bottom {b}"
+            raise InvalidInstanceError([fault])
+    return nodes
 
 
 def adjacency_oracle(inst: RdvInstance, i: int, j: int) -> bool:
     """Do the subtrees of vertices i and j share a host-tree node?
 
-    Reference test working directly on the tree via parent walks; it never
-    touches coordinates or segments, so it can independently check the
-    geometric query path.  Costs O(depth) per constituent path pair, which
-    is fine for an oracle but not for the fast matching route.
+    Reference test straight from the definition: it collects both node
+    sets by parent walks and never touches coordinates or segments, so
+    it can independently check the geometric query path.  Costs the
+    length of both walks, which is fine for an oracle but not for the
+    fast matching route.
     """
     if i == j:
         raise ValueError("adjacency oracle requires two distinct vertices")
-    tree = inst.tree
-    depths: dict[int, int] = {}
-
-    def depth(u: int) -> int:
-        d = depths.get(u)
-        if d is None:
-            d = depths[u] = _walk_depth(tree, u)
-        return d
-
-    ti = inst.top(i)
-    tj = inst.top(j)
-    for bi in inst.bottoms(i):
-        for bj in inst.bottoms(j):
-            # the topmost node common to two downward paths is one of the
-            # two top nodes, so checking both tops suffices
-            for u, t, b in ((ti, tj, bj), (tj, ti, bi)):
-                du, dt, db = depth(u), depth(t), depth(b)
-                if dt <= du <= db:
-                    node = b
-                    for _ in range(db - du):
-                        node = tree.parent(node)
-                    if node == u:
-                        return True
-    return False
+    return not _vertex_nodes(inst, i).isdisjoint(_vertex_nodes(inst, j))
 
 
 def oracle_adjacency(inst: RdvInstance) -> list[list[int]]:
-    """Materialize neighbor lists by exhaustive pairwise oracle queries.
+    """Neighbor lists of the whole graph, each in ascending order.
 
-    Batch variant of :func:`adjacency_oracle` (same parent-walk logic, one
-    shared depth precomputation).  Quadratic in the vertex count; meant for
-    cross-checks, not for the matching fast path.
+    The same definition as :func:`adjacency_oracle`: the neighbors of v
+    are the other vertices that hold one of v's nodes.  Costs, summed
+    over every vertex and each of its nodes, the vertices that hold that
+    node: up to cubic on a path tree.  Meant for cross-checks, not for
+    the matching fast path.
     """
-    tree = inst.tree
-    n = inst.n
-    depths = _bfs_depths(tree)
-    parent = tree._parent
-    tops = [0] * (n + 1)
-    bots: list[tuple[int, ...]] = [()] * (n + 1)
-    for v in range(1, n + 1):
-        tops[v] = inst.top(v)
-        bots[v] = inst.bottoms(v)
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        ti = tops[i]
-        for j in range(i + 1, n + 1):
-            tj = tops[j]
-            hit = False
-            for u, t, other_bots in ((ti, tj, bots[j]), (tj, tops[i], bots[i])):
-                if hit:
-                    break
-                du = depths[u]
-                if depths[t] > du:
-                    continue
-                for b in other_bots:
-                    if depths[b] < du:
-                        continue
-                    node = b
-                    for _ in range(depths[b] - du):
-                        node = parent[node]
-                    if node == u:
-                        hit = True
-                        break
-            if hit:
-                adj[i].append(j)
-                adj[j].append(i)
+    nodes = [_vertex_nodes(inst, v) for v in range(1, inst.n + 1)]
+    holders: list[list[int]] = [[] for _ in range(inst.tree.node_count + 1)]
+    for v, own in enumerate(nodes, start=1):
+        for node in own:
+            holders[node].append(v)
+    adj: list[list[int]] = [[]]
+    for v, own in enumerate(nodes, start=1):
+        nbrs: set[int] = set()
+        for node in own:
+            nbrs.update(holders[node])
+        nbrs.discard(v)
+        adj.append(sorted(nbrs))
     return adj
-
-
-def _bfs_depths(tree: HostTree) -> list[int]:
-    depths = [0] * (tree.node_count + 1)
-    first, kids = tree._first, tree._kids
-    queue = [tree.root]
-    while queue:
-        nxt: list[int] = []
-        for node in queue:
-            d = depths[node] + 1
-            for c in kids[first[node] : first[node + 1]]:
-                depths[c] = d
-                nxt.append(c)
-        queue = nxt
-    return depths
 
 
 def compress_tree(inst: RdvInstance) -> RdvInstance:
@@ -603,14 +567,8 @@ def compress_tree(inst: RdvInstance) -> RdvInstance:
 
     users: list[set[int]] = [set() for _ in range(n_nodes + 1)]
     for v in range(1, inst.n + 1):
-        top = inst.top(v)
-        for b in inst.bottoms(v):
-            node = b
-            while True:
-                users[node].add(v)
-                if node == top:
-                    break
-                node = tree.parent(node)
+        for node in _vertex_nodes(inst, v):
+            users[node].add(v)
 
     if inst.n == 0:
         return RdvInstance(HostTree([0]), (), inst.delta)

@@ -102,13 +102,19 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "4"
 
-    def test_bound_enforced(self, capsys, tmp_path):
+    def test_bound_enforced(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "big.rdv"
         save_instance(
             gen_random(GenConfig(seed=1, tree_nodes=40, n_vertices=30)), path
         )
-        with pytest.raises(SystemExit):
+
+        def no_adjacency(inst):
+            raise AssertionError("adjacency built before the bound was checked")
+
+        monkeypatch.setattr("rdvmatch.cli.oracle_adjacency", no_adjacency)
+        with pytest.raises(SystemExit) as exc:
             run(capsys, "oracle", str(path), "--bound", "24")
+        assert exc.value.code == "error: graph has 30 vertices, oracle bound is 24"
 
 
 class TestGen:

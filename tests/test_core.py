@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rdvmatch.core import (
     HostTree,
+    InvalidInstanceError,
     Matching,
     RdvInstance,
     VertexPath,
@@ -153,11 +154,16 @@ class TestAdjacencyOracle:
                 assert adjacency_oracle(inst, i, j) == adjacency_oracle(inst, j, i)
 
     def test_batch_matches_single_queries(self):
-        inst = random_instance(13, n=20, tree_nodes=30, delta=2)
-        adj = oracle_adjacency(inst)
-        for i in range(1, 21):
-            for j in range(i + 1, 21):
-                assert (j in adj[i]) == adjacency_oracle(inst, i, j)
+        # max_branching=1 is a path tree
+        for delta, max_branching in ((1, None), (2, None), (3, None), (1, 1)):
+            inst = random_instance(
+                13, n=20, tree_nodes=30, max_branching=max_branching, delta=delta
+            )
+            adj = oracle_adjacency(inst)
+            for i in range(1, 21):
+                assert adj[i] == sorted(adj[i])
+                for j in range(i + 1, 21):
+                    assert (j in adj[i]) == adjacency_oracle(inst, i, j)
 
     def test_delta_subtrees_meeting_at_fork(self):
         # v1 owns the fork node, v2 sits in one branch below it
@@ -167,6 +173,31 @@ class TestAdjacencyOracle:
             2,
         )
         assert adjacency_oracle(inst, 1, 2) is True
+
+    def test_cycle_off_the_walks_is_harmless(self):
+        # nodes 2 and 3 are each other's parent; vertex 1 walks 3 -> 2
+        # and stops at its top, vertex 2 sits on the root
+        inst = RdvInstance(
+            HostTree([0, 3, 2]), (VertexPath(2, 3), VertexPath(1, 1)), 1
+        )
+        assert adjacency_oracle(inst, 1, 2) is False
+
+    @pytest.mark.parametrize(
+        "parents, vertex",
+        [
+            ([0, 3, 2], VertexPath(1, 3)),  # the walk circles 3 -> 2 -> 3
+            ([0, 1, 2], VertexPath(3, 1)),  # top below its bottom on a path
+            ([0, 1, 2], VertexPath(1, 4)),  # bottom beyond node_count
+        ],
+        ids=["cycle", "top-below-bottom", "bottom-out-of-range"],
+    )
+    def test_walk_that_misses_its_top_raises(self, parents, vertex):
+        inst = RdvInstance(HostTree(parents), (vertex, VertexPath(1, 1)), 1)
+        message = f"vertex 1: top {vertex.top} not ancestor of bottom {vertex.bottom}"
+        with pytest.raises(InvalidInstanceError, match=message):
+            adjacency_oracle(inst, 1, 2)
+        with pytest.raises(InvalidInstanceError, match=message):
+            oracle_adjacency(inst)
 
 
 def graphs_equal(a, b):
