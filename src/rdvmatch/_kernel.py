@@ -1,0 +1,154 @@
+"""The native solve: ``_kernel.c``, built at import and called through ctypes.
+
+:func:`solve` validates an instance, orders its vertices and runs the
+find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
+the instance's ``array('q')`` columns, and returns the mate array.  It
+refuses, with a nonzero code, whatever it cannot take as it is: an
+instance validation would reject, a list column, a node or vertex count
+of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
+points then run the pure route, so every matching and every error text
+is the pure route's by construction.
+
+Importing this module builds the kernel once per source and compiler:
+the platform's C compiler (``sysconfig``'s ``CC``) writes
+``__pycache__/_kernel-<digest>.so`` next to this file, under a temporary
+name moved into place, so that concurrent imports never load a partial
+file.  Where that directory is not writable, the build goes to a
+temporary directory and is loaded from there.  Without a compiler, or
+when the build fails, :data:`kernel` is None, :data:`LOAD_ERROR` says
+why, and every solve takes the pure route.
+
+Every table the kernel works in is allocated here, as ``array('i')`` of
+int32, so tracemalloc counts it: per node one 16-byte record
+``{parent, depth, link, head}`` plus one int32, per vertex two int32.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from array import array
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+BUILD_TIMEOUT_S = 120
+
+REFUSED = -1  # the code of a refusal made before the kernel runs
+_LIMIT = 2**31 - 1  # counts and ids must stay below this to fit an int32
+_NODE_FIELDS = 4  # parent, depth, link, head
+
+
+def _build(command: list[str], path: str) -> None:
+    """Compile ``SOURCE`` into ``path``, atomically."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run(
+            [*command, "-o", partial, SOURCE],
+            check=True,
+            capture_output=True,
+            timeout=BUILD_TIMEOUT_S,
+        )
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def _writable(directory: str) -> bool:
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
+
+
+def _load() -> tuple[object | None, str | None]:
+    """The kernel's ``rdv_solve``, or None and the reason it is missing."""
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None, "sysconfig names no C compiler (CC)"
+    command = [*shlex.split(cc), *FLAGS]
+    try:
+        with open(SOURCE, "rb") as fh:
+            source = fh.read()
+        digest = hashlib.sha256(source + " ".join(command).encode()).hexdigest()[:16]
+        name = f"_kernel-{digest}.so"
+        cache = os.path.join(os.path.dirname(SOURCE), "__pycache__")
+        path = os.path.join(cache, name)
+        # a PyDLL call keeps the interpreter lock, so no other thread can
+        # resize a column while the kernel reads it
+        if os.path.exists(path):
+            lib = ctypes.PyDLL(path)
+        elif _writable(cache):
+            _build(command, path)
+            lib = ctypes.PyDLL(path)
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, name)
+                _build(command, path)
+                lib = ctypes.PyDLL(path)  # stays mapped once the file is gone
+    except subprocess.CalledProcessError as exc:
+        detail = exc.stderr.decode(errors="replace").strip().splitlines()
+        return None, f"{' '.join(command)} failed: {detail[-1] if detail else exc}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, f"cannot build or load the kernel: {exc}"
+    fn = lib.rdv_solve
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn, None
+
+
+kernel, LOAD_ERROR = _load()
+
+
+def _int64_column(col) -> bool:
+    return isinstance(col, array) and col.typecode == "q"
+
+
+def _address(col: array) -> int:
+    return col.buffer_info()[0]
+
+
+def solve(inst) -> tuple[int, array | None, int]:
+    """``(code, mate, find steps)`` of the native solve of ``inst``.
+
+    Code 0: the instance is well-formed and ``mate`` is the mate array of
+    :func:`rdvmatch.matching._shoot_greedy`'s matching.  Any other code
+    is a refusal, and ``mate`` is None.  The steps count every step of
+    every find (0 when refused).
+    """
+    tree = inst.tree
+    parent, first, kids = tree._parent, tree._first, tree._kids
+    tops, bots, offsets = inst.tops, inst.bots, inst.offsets
+    n_nodes, n, delta = tree.node_count, len(tops), inst.delta
+    columns = (parent, first, kids, tops, bots) + (() if offsets is None else (offsets,))
+    if (
+        kernel is None
+        or not all(map(_int64_column, columns))
+        or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT)
+        or len(parent) != n_nodes + 1
+        or len(first) != n_nodes + 3
+        or len(kids) != n_nodes
+        or (offsets is not None and len(offsets) != n + 1)
+    ):
+        return REFUSED, None, 0
+    node = array("i", [0]) * (_NODE_FIELDS * (n_nodes + 1))
+    aux = array("i", [0]) * (n_nodes + 1)
+    order = array("i", [0]) * (n + 1)
+    nxt = array("i", [0]) * (n + 1)
+    mate = array("q", [0]) * (n + 1)
+    steps = array("q", [0])
+    code = kernel(
+        n_nodes, _address(parent), _address(first), _address(kids),
+        n, _address(tops), _address(bots), len(bots),
+        None if offsets is None else _address(offsets), delta,
+        _address(node), _address(aux), _address(order), _address(nxt),
+        _address(mate), _address(steps),
+    )
+    return code, (mate if code == 0 else None), steps[0]

@@ -13,9 +13,12 @@ Four routes to a matching:
   host tree yields the node coordinates, which both validate the
   instance and place the vertices; each ray is then answered by a
   nearest-free-ancestor find over the host tree itself (see
-  :func:`_shoot_greedy`).  For delta > 1 the greedy itself is no longer
-  guaranteed to be maximum (the 4-trampoline fixture is the standard
-  witness).
+  :func:`_shoot_greedy`).  The C kernel of :mod:`rdvmatch._kernel` runs
+  validation, order and that loop natively; on an instance it refuses,
+  or where it could not be built, the pure loop runs, and it stays the
+  reference the kernel is tested against.  For delta > 1 the greedy
+  itself is no longer guaranteed to be maximum (the 4-trampoline fixture
+  is the standard witness).
 * :func:`delayed_greedy` is the delta = 1 case of that one loop: one ray
   per vertex, and on plain instances a maximum matching in
   O(|T| + n log |T|) time.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 
+from . import _kernel
 from .core import Matching, RdvInstance, bottom_up_order, checked_coordinates
 from .geometry import NodeCoords, ray_origin, segment_height
 from .rayshoot import RayShootIndex
@@ -65,6 +69,10 @@ def delayed_greedy(inst: RdvInstance) -> Matching:
     The delta = 1 case of :func:`delayed_greedy_delta`: one ray per
     vertex, and the greedy it reproduces is maximum on plain instances.
     """
+    if inst.delta == 1:
+        mate = _kernel.solve(inst)[1]
+        if mate is not None:
+            return Matching.from_mates(mate)
     coords = checked_coordinates(inst)
     if inst.delta != 1:
         raise ValueError("delayed_greedy requires a plain instance (delta=1)")
@@ -78,11 +86,15 @@ def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     Maximal for the processing order, but not necessarily maximum once
     delta exceeds 1.
     """
+    mate = _kernel.solve(inst)[1]
+    if mate is not None:
+        return Matching.from_mates(mate)
     return _shoot_greedy(inst, checked_coordinates(inst))
 
 
 def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
-    """The matching loop shared by both entry points.
+    """The pure matching loop of both entry points, and the reference for
+    the native kernel, which runs the same loop.
 
     Vertices go in bottom-up order.  A vertex matches the hit with minimum
     bottom-up rank among its rays' hits, or, with no hit, becomes free and

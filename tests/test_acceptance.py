@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from rdvmatch import _kernel
 from rdvmatch.bench import bench_sweep, doubling_ratios
 from rdvmatch.core import (
     HostTree,
@@ -19,6 +20,7 @@ from rdvmatch.core import (
     VertexPath,
     adjacency_oracle,
     bottom_up_order,
+    checked_coordinates,
     compress_tree,
     oracle_adjacency,
     validate_instance,
@@ -39,6 +41,7 @@ from rdvmatch.geometry import (
     segment_top_bound,
 )
 from rdvmatch.matching import (
+    _shoot_greedy,
     delayed_greedy,
     delayed_greedy_delta,
     greedy_reference,
@@ -264,28 +267,36 @@ def _line_events(solve, inst):
     return count
 
 
-def test_c6b_line_event_growth_ratio():
-    """C6b: line events of delayed_greedy grow <= 2.25x per doubling of n.
+# C6b's and C6d's families: the shapes where a find without skip pointers
+# would climb long runs of empty nodes (dense, chain and a random path
+# tree) plus the edgeless comb and a typical random tree
+GROWTH_FAMILIES = {
+    "comb": lambda n: gen_comb(n, seed=n),
+    "chain": chain_instance,
+    "dense": gen_dense,
+    "random": lambda n: gen_random(
+        GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=3)
+    ),
+    "path": lambda n: gen_random(
+        GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1)
+    ),
+}
 
-    The machine-independent twin of C6.  The families are the shapes
-    where a find without skip pointers would climb long runs of empty
-    nodes (dense, chain and a random path tree) plus the edgeless comb
-    and a typical random tree.
+
+def _pure_route(inst):
+    return _shoot_greedy(inst, checked_coordinates(inst))
+
+
+def test_c6b_line_event_growth_ratio():
+    """C6b: line events of the pure route grow <= 2.25x per doubling of n.
+
+    The machine-independent twin of C6 for the Python fallback of the
+    entry points (``checked_coordinates`` + ``_shoot_greedy``), which
+    runs wherever the native kernel is not built or refuses an instance.
     """
-    families = {
-        "comb": lambda n: gen_comb(n, seed=n),
-        "chain": chain_instance,
-        "dense": gen_dense,
-        "random": lambda n: gen_random(
-            GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=3)
-        ),
-        "path": lambda n: gen_random(
-            GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1)
-        ),
-    }
     worst = 0.0
-    for name, make in families.items():
-        counts = [_line_events(delayed_greedy, make(1 << k)) for k in range(10, 14)]
+    for name, make in GROWTH_FAMILIES.items():
+        counts = [_line_events(_pure_route, make(1 << k)) for k in range(10, 14)]
         ratios = [b / a for a, b in zip(counts, counts[1:])]
         assert all(r <= 2.25 for r in ratios), (
             f"{name}: line-event ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
@@ -294,7 +305,35 @@ def test_c6b_line_event_growth_ratio():
         worst = max(worst, *ratios)
     print(
         "ACCEPTANCE C6b line-event growth: PASS "
-        f"({len(families)} families, n = 2^10..2^13, worst ratio {worst:.2f})"
+        f"({len(GROWTH_FAMILIES)} families, n = 2^10..2^13, worst ratio {worst:.2f})"
+    )
+
+
+@pytest.mark.skipif(_kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}")
+def test_c6d_find_step_growth_ratio():
+    """C6d: find steps of the native kernel grow <= 2.25x per doubling of n.
+
+    The machine-independent twin of C6 for the native solve: the kernel
+    adds every step of every find to a counter, so a find that stopped
+    halving its path (or linking empty nodes at all) reads quadratic on
+    the path-shaped families.
+    """
+    worst = 0.0
+    for name, make in GROWTH_FAMILIES.items():
+        counts = []
+        for k in range(10, 17):
+            code, _, steps = _kernel.solve(make(1 << k))
+            assert code == 0, f"{name}: the kernel refused n = 2^{k} (code {code})"
+            counts.append(steps)
+        ratios = [b / a for a, b in zip(counts, counts[1:])]
+        assert all(r <= 2.25 for r in ratios), (
+            f"{name}: find-step ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
+            f"counts {counts}"
+        )
+        worst = max(worst, *ratios)
+    print(
+        "ACCEPTANCE C6d find-step growth: PASS "
+        f"({len(GROWTH_FAMILIES)} families, n = 2^10..2^16, worst ratio {worst:.2f})"
     )
 
 

@@ -9,6 +9,7 @@ from rdvmatch.core import (
     VertexSubtree,
     adjacency_oracle,
     bottom_up_order,
+    checked_coordinates,
     oracle_adjacency,
 )
 from rdvmatch.gen import (
@@ -21,6 +22,7 @@ from rdvmatch.gen import (
 )
 from rdvmatch.geometry import assign_coordinates
 from rdvmatch.matching import (
+    _shoot_greedy,
     delayed_greedy,
     delayed_greedy_delta,
     greedy_reference,
@@ -203,10 +205,9 @@ class TestDelayedGreedyDelta:
                     assert hit == adjacency_oracle(inst, vi, vj)
 
 
-def test_fast_loop_equals_rayshoot_reference():
-    # the tree find must reproduce the paper's ray-shooting reduction,
-    # adversarial shapes included
-    n = 4096
+def fast_loop_corpus(n=4096):
+    """(name, instance) pairs: the adversarial shapes at delta 1 and 2 and
+    random trees at delta 1, 2 and 3."""
     cases = [
         (f"{name} delta={delta}", inst)
         for delta in (1, 2)
@@ -220,9 +221,16 @@ def test_fast_loop_equals_rayshoot_reference():
         )
         for delta in (1, 2, 3)
     ]
-    for name, inst in cases:
+    return cases
+
+
+def test_fast_loop_equals_rayshoot_reference():
+    # the tree find must reproduce the paper's ray-shooting reduction,
+    # adversarial shapes included
+    for name, inst in fast_loop_corpus():
         ref = rayshoot_greedy(inst)
         assert delayed_greedy_delta(inst) == ref, name
+        assert _shoot_greedy(inst, checked_coordinates(inst)) == ref, name
         if inst.delta == 1:
             assert delayed_greedy(inst) == ref, name
 
