@@ -91,8 +91,10 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, const int64_t *first,
     if (delta < 1)
         return BAD_DELTA;
 
-    /* ids in range, 1..delta bottoms each (offsets rise from 0 to n_bots),
-       every top an ancestor-or-self of each of its bottoms */
+    /* ids in range, 1..delta bottoms each, every top an ancestor-or-self
+       of each of its bottoms.  Offsets start at 0, rise by at least one
+       per vertex and never pass n_bots, so each slice lies inside bots;
+       the last one ends at n_bots. */
     if (offsets && (offsets[0] != 0 || offsets[n] != n_bots))
         return BAD_VERTEX;
     if (!offsets && n_bots != n)
@@ -100,7 +102,7 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, const int64_t *first,
     for (i = 0; i < n; i++) {
         int64_t t = tops[i];
         int64_t lo = offsets ? offsets[i] : i, hi = offsets ? offsets[i + 1] : i + 1;
-        if (t < 1 || t > n_nodes || hi - lo < 1 || hi - lo > delta)
+        if (t < 1 || t > n_nodes || hi > n_bots || hi <= lo || hi - lo > delta)
             return BAD_VERTEX;
         for (j = lo; j < hi; j++) {
             int64_t b = bots[j];

@@ -16,8 +16,8 @@ integer columns (``array('q')``) from parse to solve.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, repeat
-from operator import itemgetter, sub
+from itertools import accumulate, chain, count, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import NodeCoords, assign_coordinates
@@ -361,9 +361,8 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
     root does not reach keep ``x == 0``, and node t is an ancestor-or-self
     of node b iff ``x(t) <= x(b)``, ``r(b) <= r(t)`` and ``y(t) <= y(b)``
     (leaf ranges nest, and the depth test separates the nodes of a unary
-    chain, which share one range).  The vertices are checked column by
-    column; only when that finds a fault does a walk over the vertices
-    name each violation.
+    chain, which share one range).  One walk over the vertex columns then
+    both decides whether the vertices are sound and names each violation.
     """
     tree = inst.tree
     n_nodes = tree.node_count
@@ -399,56 +398,35 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
     if inst.delta < 1:
         violations.append(f"delta must be at least 1, got {inst.delta}")
 
-    if not _vertices_sound(inst, coords):
-        violations.extend(_vertex_violations(inst, coords))
+    violations.extend(_vertex_violations(inst, coords))
     return violations, coords
 
 
-def _vertices_sound(inst: RdvInstance, coords: NodeCoords | None) -> bool:
-    """True when no vertex has a violation.
-
-    Range and bottom-count checks run over whole columns, then one pass
-    over the (top, bottom) pairs tests ancestry.  False also whenever the
-    tree or delta is at fault, so that :func:`_vertex_violations` decides
-    what the vertices add to that.
-    """
-    tops, bots, offsets, delta = inst.tops, inst.bots, inst.offsets, inst.delta
-    if not tops:
-        return True
-    if coords is None or delta < 1:
-        return False
-    if offsets is not None:
-        sizes = list(map(sub, offsets[1:], offsets))
-        if delta == 1 or min(sizes) < 1 or max(sizes) > delta:
-            return False
-    last = len(coords.x) - 1
-    if min(tops) < 1 or max(tops) > last or min(bots) < 1 or max(bots) > last:
-        return False
-    if offsets is not None:
-        tops = chain.from_iterable(map(repeat, tops, sizes))  # one per bottom
-    x, y, r = coords.x, coords.y, coords.r
-    for top, b in zip(tops, bots):
-        if not (x[top] <= x[b] and r[b] <= r[top] and y[top] <= y[b]):
-            return False
-    return True
-
-
 def _vertex_violations(inst: RdvInstance, coords: NodeCoords | None) -> list[str]:
-    """Every per-vertex violation, in vertex order."""
-    n_nodes = inst.tree.node_count
-    delta = inst.delta
+    """Every per-vertex violation, in vertex order.
+
+    A vertex's ids must lie in ``1..node_count``; it must have 1..delta
+    bottoms, exactly one when ``delta == 1``; and, when ``coords`` is
+    given (the tree is sound), its top must be an ancestor-or-self of
+    each bottom.  One pass over the columns: the bottoms of a vertex are
+    its slice of ``bots``, read as :meth:`RdvInstance.bottoms` reads them.
+    """
+    n_nodes, delta = inst.tree.node_count, inst.delta
+    bots, offsets = inst.bots, inst.offsets
+    if offsets is None:
+        groups = zip(bots)  # one 1-tuple per vertex
+    else:
+        groups = map(bots.__getitem__, map(slice, offsets, offsets[1:]))
     if coords is not None:
         x, y, r = coords.x, coords.y, coords.r
     out: list[str] = []
-    for v in range(1, inst.n + 1):
-        top = inst.top(v)
-        bottoms = inst.bottoms(v)
+    for v, top, bottoms in zip(count(1), inst.tops, groups):
         ids_ok = True
         for node in (top, *bottoms):
             if not (1 <= node <= n_nodes):
                 out.append(f"vertex {v}: node id {node} out of range")
                 ids_ok = False
-        if len(bottoms) == 0:
+        if not bottoms:
             out.append(f"vertex {v}: no bottom nodes")
             continue
         if delta == 1 and len(bottoms) != 1:

@@ -9,19 +9,21 @@ Four routes to a matching:
   general ray-shooting index, and each vertex shoots one upward ray per
   bottom node.  It is kept as the reference for the fast loop.
 * :func:`delayed_greedy_delta` runs the same greedy without ever
-  materializing edges or touching that index.  One traversal of the
-  host tree yields the node coordinates, which both validate the
-  instance and place the vertices; each ray is then answered by a
-  nearest-free-ancestor find over the host tree itself (see
-  :func:`_shoot_greedy`).  The C kernel of :mod:`rdvmatch._kernel` runs
-  validation, order and that loop natively; on an instance it refuses,
-  or where it could not be built, the pure loop runs, and it stays the
-  reference the kernel is tested against.  For delta > 1 the greedy
-  itself is no longer guaranteed to be maximum (the 4-trampoline fixture
-  is the standard witness).
+  materializing edges or touching that index, and is the one place that
+  picks the route.  The C kernel of :mod:`rdvmatch._kernel` validates
+  the instance, orders it and runs the loop natively.  When the kernel
+  refuses an instance, or could not be built, :func:`_shoot_greedy` runs
+  the pure route: one traversal of the host tree yields the node
+  coordinates, which both validate the instance and place the vertices,
+  and each ray is answered by a nearest-free-ancestor find over the host
+  tree itself.  The pure route is also the reference the kernel is
+  tested against.  For delta > 1 the greedy itself is no longer
+  guaranteed to be maximum (the 4-trampoline fixture is the standard
+  witness).
 * :func:`delayed_greedy` is the delta = 1 case of that one loop: one ray
   per vertex, and on plain instances a maximum matching in
-  O(|T| + n log |T|) time.
+  O(|T| + n log |T|) time.  It refuses any other delta and otherwise
+  calls :func:`delayed_greedy_delta`.
 
 :func:`maximum_matching_oracle` provides an exact exponential-time answer
 for cross-checking at small sizes.
@@ -33,7 +35,7 @@ from array import array
 
 from . import _kernel
 from .core import Matching, RdvInstance, bottom_up_order, checked_coordinates
-from .geometry import NodeCoords, ray_origin, segment_height
+from .geometry import ray_origin, segment_height
 from .rayshoot import RayShootIndex
 
 
@@ -68,15 +70,14 @@ def delayed_greedy(inst: RdvInstance) -> Matching:
 
     The delta = 1 case of :func:`delayed_greedy_delta`: one ray per
     vertex, and the greedy it reproduces is maximum on plain instances.
+    An invalid instance raises
+    :class:`~rdvmatch.core.InvalidInstanceError` before any other delta
+    is refused.
     """
-    if inst.delta == 1:
-        mate = _kernel.solve(inst)[1]
-        if mate is not None:
-            return Matching.from_mates(mate)
-    coords = checked_coordinates(inst)
     if inst.delta != 1:
+        checked_coordinates(inst)
         raise ValueError("delayed_greedy requires a plain instance (delta=1)")
-    return _shoot_greedy(inst, coords)
+    return delayed_greedy_delta(inst)
 
 
 def delayed_greedy_delta(inst: RdvInstance) -> Matching:
@@ -84,15 +85,16 @@ def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     bottoms: shoot one ray per bottom, keep the earliest-ranked hit.
 
     Maximal for the processing order, but not necessarily maximum once
-    delta exceeds 1.
+    delta exceeds 1.  The native kernel solves the instance; when it
+    refuses, or was not built, :func:`_shoot_greedy` does.
     """
     mate = _kernel.solve(inst)[1]
     if mate is not None:
         return Matching.from_mates(mate)
-    return _shoot_greedy(inst, checked_coordinates(inst))
+    return _shoot_greedy(inst)
 
 
-def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
+def _shoot_greedy(inst: RdvInstance) -> Matching:
     """The pure matching loop of both entry points, and the reference for
     the native kernel, which runs the same loop.
 
@@ -118,9 +120,11 @@ def _shoot_greedy(inst: RdvInstance, coords: NodeCoords) -> Matching:
     the current top: O(log |T|) amortized per ray, as path halving
     without ranks guarantees.
 
-    The loop reads the instance's columns and writes each pair into a
-    mate array, which becomes the :class:`Matching` as it is.
+    The instance is validated first (:func:`checked_coordinates`), and the
+    loop reads its columns and writes each pair into a mate array, which
+    becomes the :class:`Matching` as it is.
     """
+    coords = checked_coordinates(inst)
     order = bottom_up_order(inst, coords)
     tops, bots, offsets = inst.tops, inst.bots, inst.offsets
     plain = offsets is None

@@ -20,7 +20,6 @@ from rdvmatch.core import (
     VertexPath,
     adjacency_oracle,
     bottom_up_order,
-    checked_coordinates,
     compress_tree,
     oracle_adjacency,
     validate_instance,
@@ -283,20 +282,17 @@ GROWTH_FAMILIES = {
 }
 
 
-def _pure_route(inst):
-    return _shoot_greedy(inst, checked_coordinates(inst))
-
-
 def test_c6b_line_event_growth_ratio():
     """C6b: line events of the pure route grow <= 2.25x per doubling of n.
 
-    The machine-independent twin of C6 for the Python fallback of the
-    entry points (``checked_coordinates`` + ``_shoot_greedy``), which
-    runs wherever the native kernel is not built or refuses an instance.
+    The machine-independent twin of C6 for the pure route of the entry
+    points, ``_shoot_greedy`` (validation, order and the find loop),
+    which runs wherever the native kernel is not built or refuses an
+    instance.
     """
     worst = 0.0
     for name, make in GROWTH_FAMILIES.items():
-        counts = [_line_events(_pure_route, make(1 << k)) for k in range(10, 14)]
+        counts = [_line_events(_shoot_greedy, make(1 << k)) for k in range(10, 14)]
         ratios = [b / a for a, b in zip(counts, counts[1:])]
         assert all(r <= 2.25 for r in ratios), (
             f"{name}: line-event ratios {['%.2f' % r for r in ratios]} exceed 2.25, "

@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from rdvmatch.core import (
     HostTree,
+    InvalidInstanceError,
     RdvInstance,
     VertexPath,
     VertexSubtree,
-    _validate,
-    _vertex_violations,
-    _vertices_sound,
+    checked_coordinates,
     validate_instance,
 )
 from rdvmatch.io import InstanceFormatError, parse_instance, write_instance
@@ -272,26 +271,23 @@ def test_ids_beyond_int64_parse_and_are_reported():
     assert write_instance(inst) == f"tree 2\nparents 0 {big}\nvertices 1 2\nv {big} 1 2\n"
 
 
-def _vertex_checks_agree(inst):
-    """Where the tree is sound and delta >= 1, the column check passes
-    exactly when the per-vertex walk names no violation; returns the
-    column check's answer there, else None."""
-    coords = _validate(inst)[1]
-    if coords is None or inst.delta < 1:
-        return None
-    sound = _vertices_sound(inst, coords)
-    assert sound == (not _vertex_violations(inst, coords))
-    return sound
-
-
 @settings(max_examples=400, deadline=None)
 @given(mutated_texts())
-def test_vertex_column_check_agrees_with_the_walk(text):
+def test_checked_coordinates_raises_exactly_on_violations(text):
+    """``validate_instance`` returns a list without raising, and
+    ``checked_coordinates`` raises with that list exactly when it is
+    not empty."""
     try:
         inst = parse_instance(text)
     except InstanceFormatError:
         return
-    _vertex_checks_agree(inst)
+    violations = validate_instance(inst)
+    if violations:
+        with pytest.raises(InvalidInstanceError) as exc:
+            checked_coordinates(inst)
+        assert exc.value.violations == violations
+    else:
+        checked_coordinates(inst)
 
 
 def planted_faults(inst, v):
@@ -313,9 +309,11 @@ def planted_faults(inst, v):
         yield RdvInstance(tree, vertices, delta)
 
 
-def test_vertex_column_check_agrees_on_planted_faults():
+def test_validator_names_each_planted_fault():
     for seed in range(60):
         inst = random_instance(seed, delta=1 + seed % 3)
-        assert _vertex_checks_agree(inst) is True
-        for bad in planted_faults(inst, 1 + seed % inst.n):
-            assert _vertex_checks_agree(bad) is False
+        assert validate_instance(inst) == []
+        v = 1 + seed % inst.n
+        for bad in planted_faults(inst, v):
+            violations = validate_instance(bad)
+            assert any(f.startswith(f"vertex {v}: ") for f in violations), (bad, violations)

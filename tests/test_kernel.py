@@ -1,10 +1,11 @@
 """The native solve of ``rdvmatch._kernel`` against the pure route.
 
-The entry points run the kernel first and the pure route
-(``checked_coordinates`` + ``_shoot_greedy``) when it refuses, so every
-test here compares an entry point with the same entry point forced onto
-the pure route.  The kernel must also accept every valid instance:
-a silent refusal would keep results right and lose the speed-up.
+The entry points run the kernel first, and when it refuses, the pure
+route ``_shoot_greedy``, which validates the instance before its loop.
+So every test here compares an entry point with the same entry point
+forced onto the pure route.  The kernel must also accept every valid
+instance: a silent refusal would keep results right and lose the
+speed-up.
 """
 
 import shutil
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from rdvmatch import _kernel
 from rdvmatch.core import (
     HostTree,
+    InvalidInstanceError,
     RdvInstance,
     VertexPath,
     checked_coordinates,
@@ -58,7 +60,7 @@ def test_kernel_equals_pure_loop_on_fast_loop_corpus():
     for name, inst in fast_loop_corpus():
         code, mate, steps = _kernel.solve(inst)
         assert code == 0, name
-        assert mate == _shoot_greedy(inst, checked_coordinates(inst))._mate, name
+        assert mate == _shoot_greedy(inst)._mate, name
         assert steps > 0, name
 
 
@@ -106,7 +108,7 @@ def test_kernel_accepts_exactly_the_valid_instances():
         violations = validate_instance(inst)
         assert (code == 0) == (violations == []), (inst, code, violations)
         if code == 0:
-            assert mate == _shoot_greedy(inst, checked_coordinates(inst))._mate, inst
+            assert mate == _shoot_greedy(inst)._mate, inst
 
 
 def lying_instances():
@@ -121,8 +123,13 @@ def lying_instances():
     big_top[2] = 2**31
     big_bots = list(plain.bots)
     big_bots[4] = 2**64
+    three = HostTree([0, 1, 1, 2])
     cases = {
         "offsets past bots": (tree, tops, bots, past, 3),
+        # vertex 1's slice ends far past bots, and only vertex 2's is empty
+        "middle offset past bots": (
+            three, array("q", [1, 1]), array("q", [3, 4, 2]), array("q", [0, 5000, 3]), 5000
+        ),
         "short offsets": (tree, tops, bots, offsets[:-1], 2),
         "long offsets": (tree, tops, bots, offsets + offsets[-1:], 2),
         "top >= 2^31": (plain.tree, big_top, plain.bots, None, 1),
@@ -143,6 +150,27 @@ def test_lying_columns_end_in_the_pure_route(inst):
     assert _kernel.solve(inst)[0] != 0
     for entry in ENTRIES:
         assert outcome(entry, inst) == outcome(entry, inst, pure=True), entry.__name__
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
+def test_entry_point_errors_keep_their_precedence(pure):
+    """An invalid instance raises InvalidInstanceError before
+    ``delayed_greedy`` refuses its delta, on either route."""
+    delta2 = gen_random(GenConfig(seed=5, tree_nodes=12, n_vertices=6, delta=2))
+    plain = gen_random(GenConfig(seed=5, tree_nodes=12, n_vertices=6))
+
+    def top_out_of_range(inst):
+        tops = array("q", inst.tops)
+        tops[0] = 0
+        return RdvInstance.from_columns(inst.tree, tops, inst.bots, inst.offsets, inst.delta)
+
+    assert outcome(delayed_greedy, top_out_of_range(delta2), pure)[0] is InvalidInstanceError
+    kind, message = outcome(delayed_greedy, delta2, pure)
+    assert kind is ValueError and "plain" in message
+    bad = top_out_of_range(plain)
+    with pytest.raises(InvalidInstanceError) as exc:
+        checked_coordinates(bad)
+    assert outcome(delayed_greedy, bad, pure) == (InvalidInstanceError, str(exc.value))
 
 
 @pytest.fixture
