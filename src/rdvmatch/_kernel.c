@@ -1,7 +1,7 @@
 /*
  * Native solve of rdvmatch: validation, bottom-up order and the find loop
- * of rdvmatch.matching._shoot_greedy, in one call over the instance's
- * int64 columns.
+ * of rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
+ * host tree as its parent column alone, and the instance's vertex columns.
  *
  * Plain C99 with no Python headers.  rdvmatch/_kernel.py compiles this
  * file when the package is imported and calls rdv_solve through ctypes;
@@ -18,8 +18,8 @@
 
 /* One host-tree node.  The find loop reads all four fields of every node
    it visits, so they share one 16-byte record.  Until the vertex checks
-   are done, link and head hold the node's preorder number and the last
-   preorder number in its subtree instead. */
+   are done, head first heads the node's list of children, then link and
+   head hold its preorder number and the last one in its subtree. */
 typedef struct {
     int32_t parent, depth, link, head;
 } node_t;
@@ -27,9 +27,9 @@ typedef struct {
 enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3 };
 
 /*
- * n_nodes, parent[n_nodes + 1], first[n_nodes + 3], kids[n_nodes]:
- *     the host tree as rdvmatch.core.HostTree holds it (parent[0] == 0;
- *     the children of node p are kids[first[p]:first[p + 1]]).
+ * n_nodes, parent[n_nodes + 1]:
+ *     rdvmatch.core.HostTree's parent column (parent[0] == 0; 0 marks a
+ *     root).  The kernel links each node's children itself.
  * n, tops[n], bots[n_bots], offsets[n + 1] or NULL, delta:
  *     the vertex columns of rdvmatch.core.RdvInstance; with no offsets,
  *     vertex v has the one bottom bots[v - 1].
@@ -38,46 +38,43 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3 };
  * mate[n + 1]: zeroed; on success vertex v is matched to mate[v], or free.
  * steps[1]: each step of a find is added to it.
  */
-int rdv_solve(int64_t n_nodes, const int64_t *parent, const int64_t *first,
-              const int64_t *kids, int64_t n, const int64_t *tops,
-              const int64_t *bots, int64_t n_bots, const int64_t *offsets,
-              int64_t delta, node_t *node, int32_t *aux, int32_t *order,
-              int32_t *nxt, int64_t *mate, int64_t *steps)
+int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
+              const int64_t *tops, const int64_t *bots, int64_t n_bots,
+              const int64_t *offsets, int64_t delta, node_t *node,
+              int32_t *aux, int32_t *order, int32_t *nxt, int64_t *mate,
+              int64_t *steps)
 {
-    int64_t i, j, roots = 0, root = 0;
+    int64_t i, j;
 
-    /* parents in range, exactly one root, children ranges inside kids */
-    if (first[1] < 0 || first[n_nodes + 1] > n_nodes)
-        return BAD_TREE;
-    for (i = 1; i <= n_nodes; i++) {
-        if (parent[i] < 0 || parent[i] > n_nodes || first[i] > first[i + 1])
+    /* parents in range.  Each node goes in front of its parent's list of
+       children (head, then aux per sibling), so lists come out in file
+       order; node 0 heads the list of roots, which must hold one node. */
+    for (i = n_nodes; i >= 1; i--) {
+        int64_t p = parent[i];
+        if (p < 0 || p > n_nodes)
             return BAD_TREE;
-        if (parent[i] == 0) {
-            roots++;
-            root = i;
-        }
-        node[i].parent = (int32_t)parent[i];
+        node[i].parent = (int32_t)p;
+        aux[i] = node[p].head;
+        node[p].head = (int32_t)i;
     }
-    if (roots != 1)
+    int32_t root = node[0].head;
+    if (!root || aux[root])
         return BAD_TREE;
 
     /* one depth-first pass from the root: depth and preorder interval of
-       every node.  While v is on the path, its head indexes in kids the
-       next child to enter.  A child must name v as its parent and be
-       entered once, so the walk ends even on inconsistent columns; every
-       node entered means every node is reachable. */
-    int32_t v = (int32_t)root, seen = 1;
+       every node.  While v is on the path, its head is the next child to
+       enter.  Every node sits on one list, its parent's, so it is entered
+       at most once and the walk ends even on a parent cycle; every node
+       entered means every node is reachable. */
+    int32_t v = root, seen = 1;
     node[v].link = seen;
-    node[v].head = (int32_t)first[v];
     for (;;) {
-        if (node[v].head < first[v + 1]) {
-            int64_t c = kids[node[v].head++];
-            if (c < 1 || c > n_nodes || node[c].parent != v || node[c].link)
-                return BAD_TREE;
+        int32_t c = node[v].head;
+        if (c) {
+            node[v].head = aux[c];
             node[c].depth = node[v].depth + 1;
             node[c].link = ++seen;
-            node[c].head = (int32_t)first[c];
-            v = (int32_t)c;
+            v = c;
         } else {
             node[v].head = seen;
             if (v == root)
@@ -127,7 +124,7 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, const int64_t *first,
     }
     for (i = 0; i < n; i++)
         order[aux[node[tops[i]].depth]++] = (int32_t)(i + 1);
-    for (i = 1; i <= n_nodes; i++)
+    for (i = 0; i <= n_nodes; i++)
         node[i].link = node[i].head = 0;
 
     /* the find loop of _shoot_greedy, with free vertices queued by rank:

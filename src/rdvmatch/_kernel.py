@@ -2,8 +2,9 @@
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
-the instance's ``array('q')`` columns, and returns the mate array.  It
-refuses, with a nonzero code, whatever it cannot take as it is: an
+the tree's parent column and the vertex columns, all ``array('q')``, and
+returns the mate array; the kernel links each node's children itself.
+It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
 points then run the pure route, so every matching and every error text
@@ -99,7 +100,7 @@ def _load() -> tuple[object | None, str | None]:
         return None, f"cannot build or load the kernel: {exc}"
     fn = lib.rdv_solve
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    fn.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
     fn.restype = ctypes.c_int
     return fn, None
 
@@ -124,17 +125,14 @@ def solve(inst) -> tuple[int, array | None, int]:
     every find (0 when refused).
     """
     tree = inst.tree
-    parent, first, kids = tree._parent, tree._first, tree._kids
-    tops, bots, offsets = inst.tops, inst.bots, inst.offsets
+    parent, tops, bots, offsets = tree._parent, inst.tops, inst.bots, inst.offsets
     n_nodes, n, delta = tree.node_count, len(tops), inst.delta
-    columns = (parent, first, kids, tops, bots) + (() if offsets is None else (offsets,))
+    columns = (parent, tops, bots) + (() if offsets is None else (offsets,))
     if (
         kernel is None
         or not all(map(_int64_column, columns))
         or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT)
         or len(parent) != n_nodes + 1
-        or len(first) != n_nodes + 3
-        or len(kids) != n_nodes
         or (offsets is not None and len(offsets) != n + 1)
     ):
         return REFUSED, None, 0
@@ -145,8 +143,7 @@ def solve(inst) -> tuple[int, array | None, int]:
     mate = array("q", [0]) * (n + 1)
     steps = array("q", [0])
     code = kernel(
-        n_nodes, _address(parent), _address(first), _address(kids),
-        n, _address(tops), _address(bots), len(bots),
+        n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
         _address(node), _address(aux), _address(order), _address(nxt),
         _address(mate), _address(steps),

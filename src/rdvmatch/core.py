@@ -16,6 +16,7 @@ integer columns (``array('q')``) from parse to solve.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -63,37 +64,37 @@ class HostTree:
     cycles are representable) so that :func:`validate_instance` can report
     violations instead of crashing.
 
-    The tables are flat integer columns, built when the tree is: the
-    parent of each node in ``_parent`` (slot 0 holds 0), and the children
-    in compressed sparse row form, grouped by parent.  The children of
-    node p are ``_kids[_first[p]:_first[p + 1]]``; group 0 holds the
-    roots, and one last group the nodes whose parent is out of range.
-    The package's per-node loops index these tables directly instead of
-    calling :meth:`parent` and :meth:`children`, which build a value per
-    call.
+    The tree is its parent column ``_parent`` (slot 0 holds 0), all that
+    the native solve reads.  ``_csr`` holds the children in compressed
+    sparse row form, ``(first, kids)``, built from it on first read and
+    kept: the children of node p are ``kids[first[p]:first[p + 1]]``,
+    group 0 holds the roots, and one last group the nodes whose parent is
+    out of range.  The package's per-node loops index these tables
+    directly instead of calling :meth:`parent` and :meth:`children`,
+    which build a value per call.
     """
 
-    __slots__ = ("node_count", "_parent", "_first", "_kids")
-
     def __init__(self, parents: Sequence[int]):
-        n = len(parents)
-        self.node_count = n
+        self.node_count = len(parents)
         par = array("q", [0])
         try:
             par.extend(parents)
         except OverflowError:
             par = [0, *parents]
         self._parent = par
-        keys = par.tolist() if isinstance(par, array) else par
+
+    @cached_property
+    def _csr(self) -> tuple[array, array]:
+        n, keys = self.node_count, list(self._parent)
         if n and (min(keys) < 0 or max(keys) > n):
             keys = [p if 0 <= p <= n else n + 1 for p in keys]
         sizes = [0] * (n + 2)
         for p in keys:
             sizes[p] += 1
         sizes[0] -= 1  # slot 0 is no node
-        self._first = array("q", accumulate(sizes, initial=0))
+        first = array("q", accumulate(sizes, initial=0))
         # a stable sort keeps file order within each group
-        self._kids = array("q", sorted(range(1, n + 1), key=keys.__getitem__))
+        return first, array("q", sorted(range(1, n + 1), key=keys.__getitem__))
 
     def parent(self, node: int) -> int:
         """Parent id of ``node``, or 0 for a root."""
@@ -101,21 +102,22 @@ class HostTree:
 
     def children(self, node: int) -> tuple[int, ...]:
         """Children of ``node`` (1..node_count) in file order."""
-        first = self._first
-        return tuple(self._kids[first[node] : first[node + 1]])
+        first, kids = self._csr
+        return tuple(kids[first[node] : first[node + 1]])
 
     def parents(self) -> tuple[int, ...]:
         """Parent array in file order (entry k is the parent of node k+1)."""
         return tuple(self._parent[1:])
 
     def roots(self) -> list[int]:
-        return list(self._kids[: self._first[1]])
+        return list(self.children(0))
 
     @property
     def root(self) -> int:
-        if self._first[1] != 1:
-            raise ValueError(f"tree has {self._first[1]} roots, expected exactly one")
-        return self._kids[0]
+        first, kids = self._csr
+        if first[1] != 1:
+            raise ValueError(f"tree has {first[1]} roots, expected exactly one")
+        return kids[0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HostTree) and self._parent == other._parent
@@ -379,7 +381,7 @@ def _validate(inst: RdvInstance) -> tuple[list[str], NodeCoords | None]:
             if p != 0 and not (1 <= p <= n_nodes):
                 violations.append(f"node {i}: parent {p} out of range 1..{n_nodes}")
 
-    n_roots = tree._first[1]
+    n_roots = parent.count(0) - 1  # slot 0 is no root
     if n_roots == 0:
         violations.append("no root: every node has a parent (cycle)")
     elif n_roots > 1:
@@ -410,11 +412,16 @@ def _vertex_violations(inst: RdvInstance, coords: NodeCoords | None) -> list[str
     given (the tree is sound), its top must be an ancestor-or-self of
     each bottom.  One pass over the columns: the bottoms of a vertex are
     its slice of ``bots``, read as :meth:`RdvInstance.bottoms` reads them.
+    Columns whose lengths disagree are named as one violation instead.
     """
-    n_nodes, delta = inst.tree.node_count, inst.delta
+    n, n_nodes, delta = len(inst.tops), inst.tree.node_count, inst.delta
     bots, offsets = inst.bots, inst.offsets
     if offsets is None:
+        if len(bots) != n:
+            return [f"bots has {len(bots)} entries for {n} vertices"]
         groups = zip(bots)  # one 1-tuple per vertex
+    elif len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(bots):
+        return [f"offsets do not split the {len(bots)} bots among {n} vertices"]
     else:
         groups = map(bots.__getitem__, map(slice, offsets, offsets[1:]))
     if coords is not None:

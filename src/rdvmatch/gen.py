@@ -111,7 +111,7 @@ def _plain_vertices(
 
     tops = [0] * n
     path = [0] * (max(depth) + 1)  # path[d]: ancestor at depth d of node
-    kid_first, kids = tree._first, tree._kids
+    kid_first, kids = tree._csr
     stack = [1]
     while stack:
         node = stack.pop()
@@ -127,8 +127,7 @@ def _plain_vertices(
 def _descendant_lists(tree: HostTree) -> list[list[int]]:
     """Descendants-or-self per node, in BFS order from the node."""
     n = tree.node_count
-    first, kids = tree._first, tree._kids.tolist()
-    children = [tuple(kids[first[u] : first[u + 1]]) for u in range(n + 1)]
+    children = [tree.children(u) for u in range(n + 1)]
     out: list[list[int]] = [[] for _ in range(n + 1)]
     for node in range(1, n + 1):
         acc = [node]

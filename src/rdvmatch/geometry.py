@@ -89,7 +89,7 @@ def assign_coordinates(tree: HostTree) -> NodeCoords:
     x = [0] * (n + 1)
     y = [0] * (n + 1)
     r = [0] * (n + 1)
-    first, kids = tree._first, tree._kids
+    first, kids = tree._csr
 
     # depth-first, children left to right; an internal node also pushes
     # its exit mark ~node, popped once its whole subtree is numbered.

@@ -1,4 +1,4 @@
-"""Run tests/test_kernel.py against a sanitized build of the native kernel.
+"""Run the kernel's tests against a sanitized build of the native kernel.
 
     python tests/sanitize_kernel.py [pytest arguments]
 
@@ -6,8 +6,10 @@ The script builds ``src/rdvmatch/_kernel.c`` through ``_kernel._load``
 with AddressSanitizer and UndefinedBehaviorSanitizer
 (``-g -fsanitize=address,undefined -fno-sanitize-recover=all``), swaps
 ``_kernel.kernel`` for the result and runs the kernel's tests in the same
-process.  An out-of-bounds access or undefined behaviour in the kernel
-aborts the run with a report, so the exit code is nonzero.
+process: ``tests/test_kernel.py``, and C6d of ``tests/test_acceptance.py``,
+which solves instances up to n = 2^16 on five tree families.  An
+out-of-bounds access or undefined behaviour in the kernel aborts the run
+with a report, so the exit code is nonzero.
 
 The interpreter is not instrumented, so the sanitizer runtimes must be
 loaded first: the script re-runs itself with ``LD_PRELOAD`` naming the
@@ -71,7 +73,12 @@ def run_tests(args: list[str]) -> int:
         if fn is None:
             sys.exit(f"sanitized build failed: {error}")
         _kernel.kernel = fn
-        tests = [os.path.join(REPO, "tests", "test_kernel.py")]
+        tests = [
+            os.path.join(REPO, "tests", "test_kernel.py"),
+            # five families up to n = 2^16, path trees among them
+            os.path.join(REPO, "tests", "test_acceptance.py")
+            + "::test_c6d_find_step_growth_ratio",
+        ]
         # capture at the sys level only: a sanitizer report goes straight
         # to file descriptor 2 and must not die in a capture file
         options = ["-q", "-p", "no:cacheprovider", "--capture=sys"]

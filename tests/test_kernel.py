@@ -27,8 +27,8 @@ from rdvmatch.core import (
     checked_coordinates,
     validate_instance,
 )
-from rdvmatch.gen import GenConfig, gen_random
-from rdvmatch.io import InstanceFormatError, parse_instance
+from rdvmatch.gen import GenConfig, gen_comb, gen_dense, gen_random
+from rdvmatch.io import InstanceFormatError, parse_instance, write_instance
 from rdvmatch.matching import _shoot_greedy, delayed_greedy, delayed_greedy_delta
 
 from conftest import random_instance
@@ -136,6 +136,9 @@ def lying_instances():
         "list bots > 2^63": (plain.tree, plain.tops, big_bots, None, 1),
         "plain, short bots": (plain.tree, plain.tops, plain.bots[:3], None, 1),
         "tree without nodes": (HostTree([]), tops[:0], bots[:0], None, 1),
+        "list parents > 2^63": (
+            HostTree([0, 1, 2**64]), array("q", [1]), array("q", [2]), None, 1
+        ),
         "delta 2^63": (tree, tops, bots, offsets, 2**63),
     }
     return [
@@ -150,6 +153,49 @@ def test_lying_columns_end_in_the_pure_route(inst):
     assert _kernel.solve(inst)[0] != 0
     for entry in ENTRIES:
         assert outcome(entry, inst) == outcome(entry, inst, pure=True), entry.__name__
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
+def test_columns_whose_lengths_lie_are_violations(pure):
+    """Columns that disagree on the vertex count are named by validation,
+    so both routes raise InvalidInstanceError instead of reading them."""
+    lengths = {"short offsets", "long offsets", "offsets past bots", "plain, short bots"}
+    cases = [case for case in lying_instances() if case.id in lengths]
+    assert len(cases) == len(lengths)
+    for case in cases:
+        (inst,) = case.values
+        assert validate_instance(inst), case.id
+        for entry in ENTRIES:
+            assert outcome(entry, inst, pure)[0] is InvalidInstanceError, (case.id, entry)
+
+
+def _random(delta):
+    return lambda n: gen_random(GenConfig(seed=3, tree_nodes=n, n_vertices=n, delta=delta))
+
+
+# the benchmark's workloads: (entry point, instance of n vertices)
+SHAPES = {
+    "random": (delayed_greedy, _random(1)),
+    "dense": (delayed_greedy, gen_dense),
+    "comb": (delayed_greedy, lambda n: gen_comb(n, 3)),
+    "delta2": (delayed_greedy_delta, _random(2)),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", SHAPES)
+def test_native_solve_builds_no_children_table(shape):
+    """The kernel reads the parent column alone: a parsed instance solved
+    natively leaves the tree's children table unbuilt, and only the pure
+    route builds it."""
+    entry, make = SHAPES[shape]
+    text = write_instance(make(300))
+    texts = []
+    for pure in (False, True):
+        inst = parse_instance(text)
+        texts.append(outcome(entry, inst, pure))
+        assert ("_csr" in vars(inst.tree)) == pure, pure
+    assert texts[0] == texts[1] and texts[0].startswith("matching")
 
 
 @pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
