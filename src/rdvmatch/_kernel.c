@@ -1,17 +1,24 @@
 /*
- * Native solve of rdvmatch: validation, bottom-up order and the find loop
- * of rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
+ * Native routes of rdvmatch, in plain C99 with no Python headers:
+ *
+ * rdv_parse reads the canonical instance text that rdvmatch.io's
+ * write_instance writes into int64 columns, in two calls: the first
+ * checks the text and counts its records, the caller allocates the
+ * columns from those counts, and the second fills them.
+ *
+ * rdv_solve is validation, bottom-up order and the find loop of
+ * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
  * host tree as its parent column alone, and the instance's vertex columns.
  *
- * Plain C99 with no Python headers.  rdvmatch/_kernel.py compiles this
- * file when the package is imported and calls rdv_solve through ctypes;
- * it checks the column types and lengths before it passes a pointer, and
- * it allocates every table, so the kernel allocates nothing.
+ * rdvmatch/_kernel.py compiles this file when the package is imported and
+ * calls both through ctypes; it checks the column types and lengths before
+ * it passes a pointer, and it allocates every table, so the kernel
+ * allocates nothing.
  *
- * rdv_solve returns 0 and fills mate[] when the instance is well-formed.
- * Any other value refuses the instance, and the caller runs the pure
- * Python route, which names each violation.  So the kernel only has to
- * accept no instance that validation would reject; it may refuse more.
+ * Each returns 0 when it takes its input.  Any other value refuses it, and
+ * the caller runs the pure Python route, which names each fault.  So the
+ * kernel only has to accept no input that the pure route would reject or
+ * read otherwise; it may refuse more.
  */
 
 #include <stdint.h>
@@ -24,7 +31,7 @@ typedef struct {
     int32_t parent, depth, link, head;
 } node_t;
 
-enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3 };
+enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
 
 /*
  * n_nodes, parent[n_nodes + 1]:
@@ -166,5 +173,107 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
         }
     }
     *steps += count;
+    return OK;
+}
+
+/* The unread part of a text. */
+typedef struct {
+    const char *at, *end;
+} cursor_t;
+
+/* Whether the text at c starts with the literal w; consumes it if so. */
+static int literal(cursor_t *c, const char *w)
+{
+    const char *at = c->at;
+    for (; *w; w++, at++)
+        if (at == c->end || *at != *w)
+            return 0;
+    c->at = at;
+    return 1;
+}
+
+/* Whether the text at c starts with an optional '-' and 1 to 19 decimal
+   digits of magnitude below 2^63; consumes them into *value if so.  Up to
+   19 digits cannot wrap m.  Longer digit strings are refused, because
+   Python's int() refuses some of them (over 4300 digits) whatever their
+   value. */
+static int integer(cursor_t *c, int64_t *value)
+{
+    const char *at = c->at, *digits;
+    uint64_t m = 0;
+    if (at < c->end && *at == '-')
+        at++;
+    for (digits = at; at < c->end && (unsigned)(*at - '0') < 10; at++)
+        m = m * 10 + (uint64_t)(*at - '0');
+    if (at == digits || at - digits > 19 || m > (uint64_t)INT64_MAX)
+        return 0;
+    *value = *c->at == '-' ? -(int64_t)m : (int64_t)m;
+    c->at = at;
+    return 1;
+}
+
+/*
+ * text[len]: an instance in the canonical form of write_instance, and
+ * nothing else:
+ *
+ *     tree N\nparents p_1 ... p_N\nvertices n delta\n
+ *     v t b_1 [b_2 ...]\n  (n lines)
+ *
+ * with N >= 1, n >= 0, single spaces, a final newline, and every value an
+ * integer as integer() reads it.  Comments, blank lines, other white
+ * space, other spellings of integers and records too few or too many are
+ * all refused.
+ *
+ * head[4]: n_nodes, n, delta, n_bots.  The first call passes NULL for
+ * every column and gets head filled in; no count is taken from the header
+ * before the text is checked to hold that many records.  The second call
+ * passes the same text and columns sized from head: parent[n_nodes],
+ * tops[n], bots[n_bots], and offsets[n + 1], or NULL when delta == 1 and
+ * n_bots == n (every vertex has one bottom).  It reads the same records,
+ * so it writes exactly the counts the first call returned.
+ */
+int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
+              int64_t *tops, int64_t *bots, int64_t *offsets)
+{
+    cursor_t c = {text, text + len};
+    int64_t n_nodes, n, delta, value, i, k = 0;
+
+    /* a parent takes at least 2 bytes (" 0"), a vertex at least 6
+       ("v 1 1\n"), so larger counts are refused before the records */
+    if (!literal(&c, "tree ") || !integer(&c, &n_nodes) || n_nodes < 1
+        || n_nodes > len / 2 || !literal(&c, "\nparents"))
+        return BAD_TEXT;
+    for (i = 0; i < n_nodes; i++) {
+        if (!literal(&c, " ") || !integer(&c, &value))
+            return BAD_TEXT;
+        if (parent)
+            parent[i] = value;
+    }
+    if (!literal(&c, "\nvertices ") || !integer(&c, &n) || n < 0 || n > len / 6
+        || !literal(&c, " ") || !integer(&c, &delta) || !literal(&c, "\n"))
+        return BAD_TEXT;
+    for (i = 0; i < n; i++) {
+        if (offsets)
+            offsets[i] = k;
+        if (!literal(&c, "v ") || !integer(&c, &value))
+            return BAD_TEXT;
+        if (tops)
+            tops[i] = value;
+        do {
+            if (!literal(&c, " ") || !integer(&c, &value))
+                return BAD_TEXT;
+            if (bots)
+                bots[k] = value;
+            k++;
+        } while (!literal(&c, "\n"));
+    }
+    if (c.at != c.end)
+        return BAD_TEXT;
+    if (offsets)
+        offsets[n] = k;
+    head[0] = n_nodes;
+    head[1] = n;
+    head[2] = delta;
+    head[3] = k;
     return OK;
 }

@@ -1,4 +1,12 @@
-"""The native solve: ``_kernel.c``, built at import and called through ctypes.
+"""The native routes: ``_kernel.c``, built at import and called through ctypes.
+
+:func:`parse` reads instance text in the canonical form that
+:func:`rdvmatch.io.write_instance` writes straight into ``array('q')``
+columns, in two C calls: one checks the text and counts its records, and
+after the columns are allocated from those counts, one fills them.  It
+refuses every other text, and :func:`rdvmatch.io.parse_instance` then
+runs the Python parser, so every instance and every format error is the
+Python parser's by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
@@ -17,11 +25,12 @@ name moved into place, so that concurrent imports never load a partial
 file.  Where that directory is not writable, the build goes to a
 temporary directory and is loaded from there.  Without a compiler, or
 when the build fails, :data:`kernel` is None, :data:`LOAD_ERROR` says
-why, and every solve takes the pure route.
+why, and every parse and solve takes the pure route.
 
-Every table the kernel works in is allocated here, as ``array('i')`` of
-int32, so tracemalloc counts it: per node one 16-byte record
-``{parent, depth, link, head}`` plus one int32, per vertex two int32.
+Every column and table the kernel writes is allocated here, as
+``array('q')`` or ``array('i')``, so tracemalloc counts it.  The solve
+works in, per node, one 16-byte record ``{parent, depth, link, head}``
+plus one int32, and per vertex two int32.
 """
 
 from __future__ import annotations
@@ -68,8 +77,9 @@ def _writable(directory: str) -> bool:
     return os.access(directory, os.W_OK)
 
 
-def _load() -> tuple[object | None, str | None]:
-    """The kernel's ``rdv_solve``, or None and the reason it is missing."""
+def _load() -> tuple[ctypes.PyDLL | None, str | None]:
+    """The kernel library, its functions' argument types declared, or None
+    and the reason it is missing."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None, "sysconfig names no C compiler (CC)"
@@ -98,11 +108,12 @@ def _load() -> tuple[object | None, str | None]:
         return None, f"{' '.join(command)} failed: {detail[-1] if detail else exc}"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"cannot build or load the kernel: {exc}"
-    fn = lib.rdv_solve
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn, None
+    lib.rdv_parse.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.rdv_parse.restype = ctypes.c_int
+    lib.rdv_solve.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.rdv_solve.restype = ctypes.c_int
+    return lib, None
 
 
 kernel, LOAD_ERROR = _load()
@@ -114,6 +125,39 @@ def _int64_column(col) -> bool:
 
 def _address(col: array) -> int:
     return col.buffer_info()[0]
+
+
+def _zeros(size: int) -> array:
+    return array("q", [0]) * size
+
+
+def parse(text: str) -> tuple[array, array, array, array | None, int] | None:
+    """``(parents, tops, bots, offsets, delta)`` of canonical instance
+    text, laid out as :meth:`rdvmatch.core.RdvInstance.from_columns` takes
+    them, or None when the kernel refuses the text or is not built.
+
+    ``parents`` has one entry per node (0 marks the root), and ``offsets``
+    is None exactly when ``delta == 1`` and every vertex has one bottom.
+    """
+    if kernel is None or not text.isascii():
+        return None
+    return _parse_bytes(text.encode("ascii"))
+
+
+def _parse_bytes(data: bytes) -> tuple[array, array, array, array | None, int] | None:
+    """:func:`parse` of ``data``, any bytes; the kernel refuses non-ASCII."""
+    head = _zeros(4)
+    if kernel.rdv_parse(data, len(data), _address(head), None, None, None, None):
+        return None
+    # counts of records the text was checked to hold, never a bare header count
+    n_nodes, n, delta, n_bots = head
+    parents, tops, bots = _zeros(n_nodes), _zeros(n), _zeros(n_bots)
+    offsets = None if delta == 1 and n_bots == n else _zeros(n + 1)
+    code = kernel.rdv_parse(
+        data, len(data), _address(head), _address(parents), _address(tops), _address(bots),
+        None if offsets is None else _address(offsets),
+    )
+    return None if code else (parents, tops, bots, offsets, delta)
 
 
 def solve(inst) -> tuple[int, array | None, int]:
@@ -142,7 +186,7 @@ def solve(inst) -> tuple[int, array | None, int]:
     nxt = array("i", [0]) * (n + 1)
     mate = array("q", [0]) * (n + 1)
     steps = array("q", [0])
-    code = kernel(
+    code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
         _address(node), _address(aux), _address(order), _address(nxt),

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, count, islice, repeat
+from operator import gt, itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import NodeCoords, assign_coordinates
@@ -412,7 +412,9 @@ def _vertex_violations(inst: RdvInstance, coords: NodeCoords | None) -> list[str
     given (the tree is sound), its top must be an ancestor-or-self of
     each bottom.  One pass over the columns: the bottoms of a vertex are
     its slice of ``bots``, read as :meth:`RdvInstance.bottoms` reads them.
-    Columns whose lengths disagree are named as one violation instead.
+    Columns whose lengths disagree, and offsets that fall (a slice would
+    then wrap, as Python reads a negative index), are named as one
+    violation instead.
     """
     n, n_nodes, delta = len(inst.tops), inst.tree.node_count, inst.delta
     bots, offsets = inst.bots, inst.offsets
@@ -420,7 +422,12 @@ def _vertex_violations(inst: RdvInstance, coords: NodeCoords | None) -> list[str
         if len(bots) != n:
             return [f"bots has {len(bots)} entries for {n} vertices"]
         groups = zip(bots)  # one 1-tuple per vertex
-    elif len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(bots):
+    elif (
+        len(offsets) != n + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(bots)
+        or any(map(gt, offsets, islice(offsets, 1, None)))
+    ):
         return [f"offsets do not split the {len(bots)} bots among {n} vertices"]
     else:
         groups = map(bots.__getitem__, map(slice, offsets, offsets[1:]))

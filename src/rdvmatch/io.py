@@ -11,6 +11,14 @@ Records are whitespace-separated integers as ``int()`` reads them, one
 record per line (``str.splitlines`` decides where lines end); ``#``
 starts a comment.  Writing is canonical: identical instances serialize
 to identical bytes.
+
+Parsing runs the native tokenizer of :mod:`rdvmatch._kernel` first.  It
+takes only the canonical form :func:`write_instance` writes (ASCII,
+single spaces, ``\n`` line ends, decimal integers of magnitude below
+2**63, a final newline) and refuses every other text, which the Python
+parser (:func:`_parse_pure`) then reads.  Both build the same instance
+from every text the tokenizer takes, so every instance and every
+:class:`InstanceFormatError` is the Python parser's by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, not_, or_, sub
 
+from . import _kernel
 from .core import HostTree, IntColumn, RdvInstance
 
 
@@ -79,6 +88,17 @@ def parse_instance(text: str) -> RdvInstance:
 
     Only syntax is enforced here; semantic problems (bad ancestry, bottom
     counts over delta) are left for ``validate_instance`` to report.
+    """
+    columns = _kernel.parse(text)
+    if columns is None:
+        return _parse_pure(text)
+    parents, tops, bots, offsets, delta = columns
+    return RdvInstance.from_columns(HostTree(parents), tops, bots, offsets, delta)
+
+
+def _parse_pure(text: str) -> RdvInstance:
+    """:func:`parse_instance` in Python, for every text the native
+    tokenizer refuses, and wherever it is not built.
 
     The three header records are read line by line.  The vertex section,
     the bulk of a file, is joined into one string, split once and

@@ -6,10 +6,12 @@ The script builds ``src/rdvmatch/_kernel.c`` through ``_kernel._load``
 with AddressSanitizer and UndefinedBehaviorSanitizer
 (``-g -fsanitize=address,undefined -fno-sanitize-recover=all``), swaps
 ``_kernel.kernel`` for the result and runs the kernel's tests in the same
-process: ``tests/test_kernel.py``, and C6d of ``tests/test_acceptance.py``,
-which solves instances up to n = 2^16 on five tree families.  An
-out-of-bounds access or undefined behaviour in the kernel aborts the run
-with a report, so the exit code is nonzero.
+process: ``tests/test_kernel.py``, whose byte-level fuzz feeds the
+tokenizer arbitrary bytes and cut or byte-flipped instance texts in
+exactly sized buffers, and C6d of ``tests/test_acceptance.py``, which
+solves instances up to n = 2^16 on five tree families.  An out-of-bounds
+access or undefined behaviour in the kernel aborts the run with a
+report, so the exit code is nonzero.
 
 The interpreter is not instrumented, so the sanitizer runtimes must be
 loaded first: the script re-runs itself with ``LD_PRELOAD`` naming the
@@ -74,6 +76,7 @@ def run_tests(args: list[str]) -> int:
             sys.exit(f"sanitized build failed: {error}")
         _kernel.kernel = fn
         tests = [
+            # the solve's tests, and the tokenizer's fuzz and equivalence tests
             os.path.join(REPO, "tests", "test_kernel.py"),
             # five families up to n = 2^16, path trees among them
             os.path.join(REPO, "tests", "test_acceptance.py")

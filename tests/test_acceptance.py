@@ -333,8 +333,11 @@ def test_c6d_find_step_growth_ratio():
     )
 
 
-# bytes per vertex of the tracemalloc peak below; the solve measured 193,
-# and the instance model of tuples per vertex and per node measured 490
+# bytes per vertex of the tracemalloc peak below: 61 with the native parse
+# and solve, where the kernel's columns and tables set the peak, and 191 on
+# the pure route (no C compiler), where the parser's token lists set it;
+# the instance model of tuples per vertex and per node measured 490.  The
+# bound stays sized for the pure route, which machines without a compiler run
 PEAK_BYTES_PER_VERTEX = 245
 
 

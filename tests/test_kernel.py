@@ -1,15 +1,19 @@
-"""The native solve of ``rdvmatch._kernel`` against the pure route.
+"""The native routes of ``rdvmatch._kernel`` against the pure ones.
 
 The entry points run the kernel first, and when it refuses, the pure
 route ``_shoot_greedy``, which validates the instance before its loop.
 So every test here compares an entry point with the same entry point
 forced onto the pure route.  The kernel must also accept every valid
 instance: a silent refusal would keep results right and lose the
-speed-up.
+speed-up.  In the same way ``parse_instance`` runs the native tokenizer
+first and the Python parser ``io._parse_pure`` on every text it refuses,
+so each parse is compared with ``_parse_pure`` called directly.
 """
 
+import ctypes
 import shutil
 import sysconfig
+import tracemalloc
 from array import array
 from contextlib import nullcontext
 from itertools import product
@@ -17,6 +21,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdvmatch import _kernel
 from rdvmatch.core import (
@@ -28,7 +33,7 @@ from rdvmatch.core import (
     validate_instance,
 )
 from rdvmatch.gen import GenConfig, gen_comb, gen_dense, gen_random
-from rdvmatch.io import InstanceFormatError, parse_instance, write_instance
+from rdvmatch.io import InstanceFormatError, _parse_pure, parse_instance, write_instance
 from rdvmatch.matching import _shoot_greedy, delayed_greedy, delayed_greedy_delta
 
 from conftest import random_instance
@@ -140,6 +145,10 @@ def lying_instances():
             HostTree([0, 1, 2**64]), array("q", [1]), array("q", [2]), None, 1
         ),
         "delta 2^63": (tree, tops, bots, offsets, 2**63),
+        # Python would slice bots[0:-1] and bots[-1:3], two sound vertices
+        "falling offsets": (
+            three, array("q", [1, 1]), array("q", [3, 4, 2]), array("q", [0, -1, 3]), 2
+        ),
     }
     return [
         pytest.param(RdvInstance.from_columns(*columns), id=name)
@@ -157,9 +166,13 @@ def test_lying_columns_end_in_the_pure_route(inst):
 
 @pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
 def test_columns_whose_lengths_lie_are_violations(pure):
-    """Columns that disagree on the vertex count are named by validation,
-    so both routes raise InvalidInstanceError instead of reading them."""
-    lengths = {"short offsets", "long offsets", "offsets past bots", "plain, short bots"}
+    """Columns that disagree on the vertex count, or offsets that fall,
+    are named by validation, so both routes raise InvalidInstanceError
+    instead of reading them."""
+    lengths = {
+        "short offsets", "long offsets", "offsets past bots", "plain, short bots",
+        "falling offsets",
+    }
     cases = [case for case in lying_instances() if case.id in lengths]
     assert len(cases) == len(lengths)
     for case in cases:
@@ -217,6 +230,177 @@ def test_entry_point_errors_keep_their_precedence(pure):
     with pytest.raises(InvalidInstanceError) as exc:
         checked_coordinates(bad)
     assert outcome(delayed_greedy, bad, pure) == (InvalidInstanceError, str(exc.value))
+
+
+def parse_outcome(parse, text):
+    """``parse(text)`` as what an equal parse must match: the instance,
+    its parent column and the type of every column (``offsets`` None or
+    not), or the line and message of its InstanceFormatError."""
+    try:
+        inst = parse(text)
+    except InstanceFormatError as exc:
+        return "error", exc.line, exc.message
+    columns = (inst.tree._parent, inst.tops, inst.bots, inst.offsets)
+    return "instance", inst, inst.tree._parent, [getattr(c, "typecode", c) for c in columns]
+
+
+def assert_parses_like_python(text, native):
+    """``parse_instance(text)`` equals the Python parser's reading, and
+    the tokenizer took the text exactly when ``native`` says so."""
+    assert (_kernel.parse(text) is not None) == native, text
+    assert parse_outcome(parse_instance, text) == parse_outcome(_parse_pure, text), text
+
+
+@needs_kernel
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_native_parse_equals_python_parser_on_mutated_texts(text):
+    assert parse_outcome(parse_instance, text) == parse_outcome(_parse_pure, text)
+
+
+@needs_kernel
+def test_native_parse_takes_every_written_instance():
+    """A refused canonical text would keep results right and lose the
+    speed-up, so the tokenizer must take whatever write_instance writes:
+    the solve corpus, small random instances at delta 1..3, no vertices,
+    and ids at the ends of int64."""
+    limit = 2**63 - 1
+    corpus = [inst for _, inst in fast_loop_corpus(512)]
+    corpus += [random_instance(seed, delta=1 + seed % 3) for seed in range(30)]
+    corpus += [RdvInstance(HostTree([0]), [], delta) for delta in (-4, 0, 1, 2)]
+    corpus.append(RdvInstance(HostTree([0, -limit, limit]), [VertexPath(-limit, limit)], 1))
+    for inst in corpus:
+        text = write_instance(inst)
+        assert_parses_like_python(text, native=True)
+        assert parse_instance(text) == inst
+
+
+CANONICAL = "tree 4\nparents 0 1 1 2\nvertices 3 2\nv 1 4\nv 2 4 2\nv 3 3\n"
+
+# (name, text, taken by the tokenizer): one planted variant of CANONICAL
+# per feature the tokenizer refuses, and spellings it takes
+PLANTED = [
+    ("canonical", CANONICAL, True),
+    ("comment", CANONICAL.replace("v 3 3", "v 3 3 # c"), False),
+    ("comment line", "# c\n" + CANONICAL, False),
+    ("carriage returns", CANONICAL.replace("\n", "\r\n"), False),
+    ("bare carriage return", CANONICAL.replace("v 2 4 2\n", "v 2 4\r2\n"), False),
+    ("tab", CANONICAL.replace("v 1 4", "v\t1 4"), False),
+    ("blank line", CANONICAL.replace("\nv 2", "\n\nv 2"), False),
+    ("trailing blank line", CANONICAL + "\n", False),
+    ("double space", CANONICAL.replace("v 1 4", "v 1  4"), False),
+    ("leading space", CANONICAL.replace("v 1 4", " v 1 4"), False),
+    ("trailing space", CANONICAL.replace("v 1 4", "v 1 4 "), False),
+    ("no final newline", CANONICAL[:-1], False),
+    ("plus sign", CANONICAL.replace("v 1 4", "v +1 4"), False),
+    ("underscore", CANONICAL.replace("tree 4\n", "tree 0_4\n"), False),
+    ("non-ASCII digit", CANONICAL.replace("v 3 3", "v 3 ٣"), False),
+    ("form feed", CANONICAL.replace("v 3 3", "v 3\x0c3"), False),
+    ("NUL", CANONICAL.replace("v 3 3", "v 3 3\x00"), False),
+    ("lone minus", CANONICAL.replace("v 1 4", "v - 4"), False),
+    ("id 2^63", CANONICAL.replace("v 1 4", f"v {2**63} 4"), False),
+    ("id -2^63", CANONICAL.replace("v 1 4", f"v {-2**63} 4"), False),
+    ("id 10^20", CANONICAL.replace("v 1 4", f"v 1 {10**20}"), False),
+    ("20 digits", CANONICAL.replace("v 1 4", "v 00000000000000000001 4"), False),
+    ("5000 digits", CANONICAL.replace("v 1 4", "v " + "0" * 4999 + "1 4"), False),
+    ("too many parents", CANONICAL.replace("0 1 1 2", "0 1 1 2 2"), False),
+    ("too few parents", CANONICAL.replace("0 1 1 2", "0 1 1"), False),
+    ("missing record", CANONICAL.replace("v 3 3\n", ""), False),
+    ("trailing record", CANONICAL + "v 1 1\n", False),
+    ("record without bottoms", CANONICAL.replace("v 3 3", "v 3"), False),
+    ("tree 0", "tree 0\nparents\nvertices 0 1\n", False),
+    ("negative vertex count", "tree 1\nparents 0\nvertices -1 1\n", False),
+    ("empty", "", False),
+    ("upper case", CANONICAL.replace("tree", "TREE"), False),
+    ("leading zeros", CANONICAL.replace("v 1 4", "v 001 0004"), True),
+    ("minus zero", CANONICAL.replace("parents 0", "parents -0"), True),
+    ("negative ids", CANONICAL.replace("v 1 4", "v -1 -4"), True),
+    ("ids 2^63 - 1", CANONICAL.replace("v 1 4", f"v {2**63 - 1} {1 - 2**63}"), True),
+    ("19 digits", CANONICAL.replace("v 1 4", "v 0000000000000000001 4"), True),
+    ("delta 1, one bottom each", "tree 2\nparents 0 1\nvertices 2 1\nv 1 2\nv 2 2\n", True),
+    ("delta 1, two bottoms", CANONICAL.replace("3 2\n", "3 1\n"), True),
+    ("delta 2, one bottom each", CANONICAL.replace("v 2 4 2", "v 2 4"), True),
+]
+
+
+@needs_kernel
+@pytest.mark.parametrize("name, text, native", PLANTED, ids=[p[0] for p in PLANTED])
+def test_planted_variants_parse_like_python(name, text, native):
+    assert_parses_like_python(text, native)
+
+
+@needs_kernel
+def test_texts_cut_at_every_byte_parse_like_python():
+    for inst in (random_instance(7, delta=2), random_instance(8)):
+        text = write_instance(inst)
+        for cut in range(len(text) + 1):
+            assert_parses_like_python(text[:cut], native=cut == len(text))
+            check_tokenizer(text[:cut].encode())
+
+
+# header counts that claim more records than the text holds, negative
+# ones and ones beyond int64, each followed by three short lines
+LYING_HEADERS = [
+    f"tree {count}\nparents 0 1 1\nvertices 0 1\n"
+    for count in (4, 10**12, 2**62, 2**63, 2**64, -1, -(2**63))
+] + [
+    f"tree 1\nparents 0\nvertices {count} 1\nv 1 1\nv 1 1\nv 1 1\n"
+    for count in (4, 10**12, 2**62, 2**63, 2**64, -1, -(2**63))
+]
+
+
+@needs_kernel
+@pytest.mark.parametrize("text", LYING_HEADERS)
+def test_lying_header_counts_are_refused_before_allocating(text):
+    tracemalloc.start()
+    try:
+        columns = _kernel.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns is None and peak < 4096, peak
+    assert_parses_like_python(text, native=False)
+
+
+def test_without_a_kernel_the_python_parser_reads_every_text():
+    with mock.patch.object(_kernel, "kernel", None):
+        for _, text, _ in PLANTED:
+            assert_parses_like_python(text, native=False)
+
+
+def check_tokenizer(data: bytes) -> None:
+    """The tokenizer refuses ``data`` or reads it as the Python parser
+    does.  It gets an exactly sized buffer, with no NUL after the text,
+    so that a sanitized build flags a read past the end."""
+    columns = _kernel._parse_bytes((ctypes.c_char * len(data)).from_buffer_copy(data))
+    if columns is None:
+        return
+    text = data.decode("ascii")  # the tokenizer takes ASCII alone
+    parents, tops, bots, offsets, delta = columns
+    inst = RdvInstance.from_columns(HostTree(parents), tops, bots, offsets, delta)
+    assert parse_outcome(lambda _: inst, text) == parse_outcome(_parse_pure, text)
+
+
+@needs_kernel
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(b"tree ".__add__)))
+def test_tokenizer_fuzz_arbitrary_bytes(data):
+    check_tokenizer(data)
+
+
+# bytes a flip plants: the tokenizer's syntax, its near misses, and any byte
+FLIPS = st.one_of(st.sampled_from(b"0123456789 -\nv#\t\r\x00+_"), st.integers(0, 255))
+
+
+@needs_kernel
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_tokenizer_fuzz_flipped_and_cut_texts(data):
+    seed = data.draw(st.integers(0, 500))
+    text = bytearray(write_instance(random_instance(seed, delta=1 + seed % 3)).encode())
+    for _ in range(data.draw(st.integers(1, 4))):
+        text[data.draw(st.integers(0, len(text) - 1))] = data.draw(FLIPS)
+    check_tokenizer(bytes(text[: data.draw(st.integers(0, len(text)))]))
 
 
 @pytest.fixture
