@@ -19,17 +19,18 @@ single spaces, ``\n`` line ends, decimal integers of magnitude below
 parser (:func:`_parse_pure`) then reads.  Both build the same instance
 from every text the tokenizer takes, so every instance and every
 :class:`InstanceFormatError` is the Python parser's by construction.
+The Python parser reads the records in one walk, checking and
+converting each as it goes, and names the line of the first fault.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, not_, or_, sub
+from itertools import chain
 
 from . import _kernel
-from .core import HostTree, IntColumn, RdvInstance
+from .core import HostTree, RdvInstance, _column
 
 
 class InstanceFormatError(ValueError):
@@ -65,15 +66,6 @@ def _end_of_file(lines: list[str], expected: str) -> InstanceFormatError:
     )
 
 
-def _int_column(tokens: list[str]) -> IntColumn:
-    """``tokens`` converted by ``int()`` into an ``array('q')``, or into a
-    list when one does not fit in 64 bits; ``ValueError`` names no token."""
-    try:
-        return array("q", map(int, tokens))
-    except OverflowError:
-        return list(map(int, tokens))
-
-
 def _lines(text: str) -> list[str]:
     """The lines of ``text`` with their comments stripped."""
     lines = text.splitlines()
@@ -100,34 +92,18 @@ def _parse_pure(text: str) -> RdvInstance:
     """:func:`parse_instance` in Python, for every text the native
     tokenizer refuses, and wherever it is not built.
 
-    The three header records are read line by line.  The vertex section,
-    the bulk of a file, is joined into one string, split once and
-    converted column by column (see :func:`_vertex_columns`); only when
-    that refuses it does a walk over its lines (:func:`_vertex_error`)
-    name the fault.
+    One walk over the non-blank records: the three header records, then
+    one ``v`` record per vertex.  Each record is checked and converted as
+    it is read, so the first fault raises, naming its line.
     """
     lines = _lines(text)
-    parents, n_vertices, delta, start = _header(lines)
-    section = "\n".join(islice(lines, start, None))
-    n_lines = len(lines) - start
-    del lines  # freed before the section's tokens, the larger object, are made
-    columns = _vertex_columns(section, n_lines, n_vertices, delta)
-    if columns is None:
-        raise _vertex_error(_lines(text), start, n_vertices)
-    return RdvInstance.from_columns(HostTree(parents), *columns, delta)
-
-
-def _header(lines: list[str]) -> tuple[IntColumn, int, int, int]:
-    """Parents, vertex count and delta from the three header records,
-    plus the index in ``lines`` of the line after them."""
-    numbered = enumerate(lines, start=1)
+    records = ((i, t) for i, t in enumerate(map(str.split, lines), start=1) if t)
 
     def record(expected: str) -> tuple[int, list[str]]:
-        for lineno, line in numbered:
-            tokens = line.split()
-            if tokens:
-                return lineno, tokens
-        raise _end_of_file(lines, expected)
+        found = next(records, None)
+        if found is None:
+            raise _end_of_file(lines, expected)
+        return found
 
     lineno, tokens = record("tree")
     if tokens[0] != "tree" or len(tokens) != 2:
@@ -139,10 +115,7 @@ def _header(lines: list[str]) -> tuple[IntColumn, int, int, int]:
     lineno, tokens = record("parents")
     if tokens[0] != "parents":
         raise InstanceFormatError(lineno, "expected 'parents <p_1> ... <p_N>'")
-    try:
-        parents = _int_column(tokens[1:])
-    except ValueError:
-        raise _int_error(lineno, tokens[1:]) from None
+    parents = _column(_ints(lineno, tokens[1:]))
     if len(parents) != n_nodes:
         raise InstanceFormatError(
             lineno, f"expected {n_nodes} parent entries, got {len(parents)}"
@@ -151,85 +124,31 @@ def _header(lines: list[str]) -> tuple[IntColumn, int, int, int]:
     lineno, tokens = record("vertices")
     if tokens[0] != "vertices" or len(tokens) != 3:
         raise InstanceFormatError(lineno, "expected 'vertices <n> <delta>'")
-    n_vertices, delta = _ints(lineno, tokens[1:])
-    if n_vertices < 0:
-        raise InstanceFormatError(lineno, f"vertex count must be >= 0, got {n_vertices}")
-    return parents, n_vertices, delta, lineno
+    n, delta = _ints(lineno, tokens[1:])
+    if n < 0:
+        raise InstanceFormatError(lineno, f"vertex count must be >= 0, got {n}")
 
-
-def _vertex_columns(
-    section: str, n_lines: int, n: int, delta: int
-) -> tuple[IntColumn, IntColumn, array | None] | None:
-    """Columns ``(tops, bots, offsets)`` of the vertex section, whose
-    ``n_lines`` lines are joined by newlines into ``section``, or None
-    when it is malformed.
-
-    It accepts the section only when it holds exactly ``n`` records, one
-    per non-blank line, each a ``v`` followed by at least two integers.
-    When some line does not start with ``"v "`` (a blank line, say, or a
-    tab after the ``v``), every line is first rewritten with single
-    spaces and blank ones are dropped.  Then the tokens of all lines are
-    split at once.  With every line led by a ``v``, ``n`` ``v`` tokens in
-    all are exactly the line starts.  On a plain instance they sit at
-    every third token; otherwise their positions give the offsets.
-    """
-    if not _one_record_per_line(section, n_lines, n):
-        spaced = map(" ".join, map(str.split, section.split("\n")))
-        body = [line for line in spaced if line]
-        section = "\n".join(body)
-        if not _one_record_per_line(section, len(body), n):
-            return None
-    toks = section.split()
-    try:
-        if delta == 1 and len(toks) == 3 * n and toks[0::3].count("v") == n:
-            return _int_column(toks[1::3]), _int_column(toks[2::3]), None
-        is_v = list(map(eq, toks, repeat("v")))
-        starts = list(compress(count(), is_v))
-        if len(starts) != n:
-            return None
-        starts.append(len(toks))
-        if n and min(map(sub, starts[1:], starts)) < 3:
-            return None
-        is_top = [False, *is_v[:-1]]
-        tops = _int_column(list(compress(toks, is_top)))
-        bots = _int_column(list(compress(toks, map(not_, map(or_, is_v, is_top)))))
-    except ValueError:
-        return None
-    # a record's bottoms follow its v and top, so record i starts
-    # 2i bottoms after its first token
-    offsets = array("q", map(sub, starts, range(0, 2 * n + 1, 2)))
-    return tops, bots, offsets
-
-
-def _one_record_per_line(section: str, n_lines: int, n: int) -> bool:
-    """Whether ``section`` holds ``n`` lines that all start with ``"v "``
-    (its lines are joined by newlines, so each ``"\\nv "`` starts one)."""
-    return n_lines == n and (
-        n == 0 or (section.startswith("v ") and section.count("\nv ") == n - 1)
-    )
-
-
-def _vertex_error(lines: list[str], header: int, n: int) -> InstanceFormatError:
-    """The format error of a vertex section that :func:`_vertex_columns`
-    refused; ``lines[header:]`` are its lines.  That check accepts every
-    well-formed section, so one of these lines is at fault."""
-    seen = 0
-    for lineno, line in enumerate(lines[header:], start=header + 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if seen == n:
-            return InstanceFormatError(lineno, f"unexpected trailing record {tokens[0]!r}")
+    tops: list[int] = []
+    bots: list[int] = []
+    offsets = array("q", [0])
+    for lineno, tokens in records:
+        if len(tops) == n:
+            raise InstanceFormatError(lineno, f"unexpected trailing record {tokens[0]!r}")
         if tokens[0] != "v" or len(tokens) < 3:
-            return InstanceFormatError(lineno, "expected 'v <t_id> <b_1> [...]'")
+            raise InstanceFormatError(lineno, "expected 'v <t_id> <b_1> [...]'")
         try:
-            list(map(int, tokens[1:]))
+            tops.append(int(tokens[1]))
+            bots.extend(map(int, tokens[2:]))
         except ValueError:
-            return _int_error(lineno, tokens[1:])
-        seen += 1
-    if seen < n:
-        return _end_of_file(lines, "v")
-    raise AssertionError("a well-formed vertex section was refused")
+            raise _int_error(lineno, tokens[1:]) from None
+        offsets.append(len(bots))
+    if len(tops) < n:
+        raise _end_of_file(lines, "v")
+    if delta == 1 and len(bots) == n:
+        offsets = None
+    return RdvInstance.from_columns(
+        HostTree(parents), _column(tops), _column(bots), offsets, delta
+    )
 
 
 def write_instance(inst: RdvInstance) -> str:

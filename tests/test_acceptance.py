@@ -9,6 +9,7 @@ the growth-ratio gate, whose threshold is fixed at 2.8x per doubling.
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -47,10 +48,14 @@ from rdvmatch.matching import (
     is_simple_vertex,
     maximum_matching_oracle,
 )
-from rdvmatch.io import parse_instance, write_instance
+from rdvmatch.io import _parse_pure, parse_instance, write_instance
 from rdvmatch.rayshoot import RayShootIndex
 
 from test_matching import chain_instance
+
+needs_kernel = pytest.mark.skipif(
+    _kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}"
+)
 
 
 def _mixed_instance(seed, n_max, delta=1, tree_factor=2):
@@ -247,8 +252,8 @@ def test_c6_dense_family_growth_ratio():
     print(f"ACCEPTANCE C6 quasi-linear growth on dense family: PASS (ratios {pretty})")
 
 
-def _line_events(solve, inst):
-    """Python line events executed by ``solve(inst)``."""
+def _line_events(run, value):
+    """Python line events executed by ``run(value)``."""
     count = 0
 
     def trace(frame, event, arg):
@@ -260,7 +265,7 @@ def _line_events(solve, inst):
     outer = sys.gettrace()
     sys.settrace(trace)
     try:
-        solve(inst)
+        run(value)
     finally:
         sys.settrace(outer)
     return count
@@ -288,24 +293,30 @@ def test_c6b_line_event_growth_ratio():
     The machine-independent twin of C6 for the pure route of the entry
     points, ``_shoot_greedy`` (validation, order and the find loop),
     which runs wherever the native kernel is not built or refuses an
-    instance.
+    instance, and for the Python parser, ``_parse_pure``, which reads
+    every text there and every text the native tokenizer refuses.
     """
     worst = 0.0
     for name, make in GROWTH_FAMILIES.items():
-        counts = [_line_events(_shoot_greedy, make(1 << k)) for k in range(10, 14)]
-        ratios = [b / a for a, b in zip(counts, counts[1:])]
-        assert all(r <= 2.25 for r in ratios), (
-            f"{name}: line-event ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
-            f"counts {counts}"
-        )
-        worst = max(worst, *ratios)
+        instances = [make(1 << k) for k in range(10, 14)]
+        for stage, counts in (
+            ("solve", [_line_events(_shoot_greedy, inst) for inst in instances]),
+            ("parse", [_line_events(_parse_pure, write_instance(inst)) for inst in instances]),
+        ):
+            ratios = [b / a for a, b in zip(counts, counts[1:])]
+            assert all(r <= 2.25 for r in ratios), (
+                f"{name} {stage}: line-event ratios {['%.2f' % r for r in ratios]} "
+                f"exceed 2.25, counts {counts}"
+            )
+            worst = max(worst, *ratios)
     print(
         "ACCEPTANCE C6b line-event growth: PASS "
-        f"({len(GROWTH_FAMILIES)} families, n = 2^10..2^13, worst ratio {worst:.2f})"
+        f"({len(GROWTH_FAMILIES)} families, solve and parse, n = 2^10..2^13, "
+        f"worst ratio {worst:.2f})"
     )
 
 
-@pytest.mark.skipif(_kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}")
+@needs_kernel
 def test_c6d_find_step_growth_ratio():
     """C6d: find steps of the native kernel grow <= 2.25x per doubling of n.
 
@@ -333,17 +344,18 @@ def test_c6d_find_step_growth_ratio():
     )
 
 
-# bytes per vertex of the tracemalloc peak below: 61 with the native parse
-# and solve, where the kernel's columns and tables set the peak, and 191 on
-# the pure route (no C compiler), where the parser's token lists set it;
-# the instance model of tuples per vertex and per node measured 490.  The
-# bound stays sized for the pure route, which machines without a compiler run
+# bytes per vertex of the tracemalloc peak below, at n = 2^13: 61 on the
+# native route, where the kernel's columns and tables set it, and 191 on
+# the pure route (no C compiler), where the Python solve sets it over the
+# Python parser's own peak of 174; the instance model of tuples per vertex
+# and per node measured 490.  One bound serves both routes
 PEAK_BYTES_PER_VERTEX = 245
 
 
-def test_c6c_peak_memory_per_vertex():
+@pytest.mark.parametrize("route", [pytest.param("native", marks=needs_kernel), "pure"])
+def test_c6c_peak_memory_per_vertex(route):
     """C6c: parsing and solving a random instance peaks at <= 245 bytes
-    per vertex.
+    per vertex, on the native route and on the pure one.
 
     The machine-independent memory gate next to C6 and C6b: tracemalloc
     counts the bytes Python allocates, whatever the machine's speed.
@@ -352,17 +364,21 @@ def test_c6c_peak_memory_per_vertex():
     text = write_instance(
         gen_random(GenConfig(seed=1, tree_nodes=n, n_vertices=n, max_branching=3))
     )
-    tracemalloc.start()
-    try:
-        delayed_greedy(parse_instance(text))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with mock.patch.object(_kernel, "kernel", None if route == "pure" else _kernel.kernel):
+        tracemalloc.start()
+        try:
+            delayed_greedy(parse_instance(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     per_vertex = peak / n
     assert per_vertex <= PEAK_BYTES_PER_VERTEX, (
-        f"peak {peak} bytes is {per_vertex:.0f} per vertex, over {PEAK_BYTES_PER_VERTEX}"
+        f"{route}: peak {peak} bytes is {per_vertex:.0f} per vertex, "
+        f"over {PEAK_BYTES_PER_VERTEX}"
     )
-    print(f"ACCEPTANCE C6c peak memory: PASS ({per_vertex:.0f} bytes/vertex at n = {n})")
+    print(
+        f"ACCEPTANCE C6c peak memory: PASS ({route}, {per_vertex:.0f} bytes/vertex at n = {n})"
+    )
 
 
 def test_c7_bottom_up_peeling_is_simple():
