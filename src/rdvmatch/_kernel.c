@@ -3,8 +3,9 @@
  *
  * rdv_parse reads the canonical instance text that rdvmatch.io's
  * write_instance writes into int64 columns, in two calls: the first
- * checks the text and counts its records, the caller allocates the
- * columns from those counts, and the second fills them.
+ * counts the text's structural bytes without tokenizing it, the caller
+ * allocates the columns from those counts, and the second, the one pass
+ * that checks every record, fills them.
  *
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
@@ -22,6 +23,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 /* One host-tree node.  The find loop reads all four fields of every node
    it visits, so they share one 16-byte record.  Until the vertex checks
@@ -43,7 +45,8 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  * node[n_nodes + 1], aux[n_nodes + 1], order[n + 1], nxt[n + 1]:
  *     zeroed work tables.
  * mate[n + 1]: zeroed; on success vertex v is matched to mate[v], or free.
- * steps[1]: each step of a find is added to it.
+ * steps[2]: each step of a find is added to steps[0], each pair made to
+ *     steps[1].
  */
 int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
               const int64_t *tops, const int64_t *bots, int64_t n_bots,
@@ -139,7 +142,7 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
        rank at its back (read only while head is set), nxt the rank behind
        each queued one.  The smallest head among a vertex's hits is its
        minimum-rank hit. */
-    int64_t count = 0;
+    int64_t count = 0, pairs = 0;
     for (int32_t rank = 1; rank <= n; rank++) {
         int32_t u, w, best = 0, at = 0;
         v = order[rank];
@@ -165,6 +168,7 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
             node[at].head = nxt[best];
             mate[v] = order[best];
             mate[order[best]] = v;
+            pairs++;
         } else if (node[top].head) {
             nxt[aux[top]] = rank;
             aux[top] = rank;
@@ -172,7 +176,8 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
             node[top].head = aux[top] = rank;
         }
     }
-    *steps += count;
+    steps[0] += count;
+    steps[1] += pairs;
     return OK;
 }
 
@@ -212,6 +217,35 @@ static int integer(cursor_t *c, int64_t *value)
     return 1;
 }
 
+/* Bytes per block of count_bytes: a multiple of 16, and below 256 so that
+   an unsigned char counter cannot wrap within a block. */
+enum { BLOCK = 240 };
+
+/* The spaces and the newlines in [at, end).  Each fixed block is counted
+   into unsigned char counters, a loop of known length over bytes that gcc
+   vectorizes at -O2; a plain loop into int64 counters it does not. */
+static void count_bytes(const char *at, const char *end, int64_t *spaces,
+                        int64_t *newlines)
+{
+    int64_t s = 0, l = 0;
+    int i;
+    for (; end - at >= BLOCK; at += BLOCK) {
+        unsigned char bs = 0, bl = 0;
+        for (i = 0; i < BLOCK; i++) {
+            bs += at[i] == ' ';
+            bl += at[i] == '\n';
+        }
+        s += bs;
+        l += bl;
+    }
+    for (; at < end; at++) {
+        s += *at == ' ';
+        l += *at == '\n';
+    }
+    *spaces = s;
+    *newlines = l;
+}
+
 /*
  * text[len]: an instance in the canonical form of write_instance, and
  * nothing else:
@@ -225,55 +259,72 @@ static int integer(cursor_t *c, int64_t *value)
  * all refused.
  *
  * head[4]: n_nodes, n, delta, n_bots.  The first call passes NULL for
- * every column and gets head filled in; no count is taken from the header
- * before the text is checked to hold that many records.  The second call
- * passes the same text and columns sized from head: parent[n_nodes],
- * tops[n], bots[n_bots], and offsets[n + 1], or NULL when delta == 1 and
- * n_bots == n (every vertex has one bottom).  It reads the same records,
- * so it writes exactly the counts the first call returned.
+ * every column and gets head filled in.  It reads the three header
+ * integers and tokenizes nothing else: it counts the spaces on the
+ * parents line, which must equal N, and the spaces and newlines after the
+ * vertices line.  The newlines must equal n, and spaces - newlines, one
+ * per bottom, is n_bots, at least n.  So no count comes from the header
+ * alone, and a text whose header lies is refused before anything is
+ * allocated.  The second call passes the same text and head, and columns
+ * sized from head: parent[n_nodes], tops[n], bots[n_bots], and
+ * offsets[n + 1], or NULL when delta == 1 and n_bots == n (every vertex
+ * has one bottom).  It checks every record, refuses a bottom past
+ * bots[n_bots - 1], and refuses unless it read exactly n_bots of them;
+ * the byte counts are exact for canonical text, so it fills every column.
  */
 int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
               int64_t *tops, int64_t *bots, int64_t *offsets)
 {
-    cursor_t c = {text, text + len};
-    int64_t n_nodes, n, delta, value, i, k = 0;
+    cursor_t c = {text, text + len}, line;
+    int64_t n_nodes, n, delta, spaces, newlines, i, k = 0;
 
-    /* a parent takes at least 2 bytes (" 0"), a vertex at least 6
-       ("v 1 1\n"), so larger counts are refused before the records */
-    if (!literal(&c, "tree ") || !integer(&c, &n_nodes) || n_nodes < 1
-        || n_nodes > len / 2 || !literal(&c, "\nparents"))
+    /* the header lines, the parents line found by its newline */
+    if (!literal(&c, "tree ") || !integer(&c, &n_nodes) || !literal(&c, "\n"))
         return BAD_TEXT;
-    for (i = 0; i < n_nodes; i++) {
-        if (!literal(&c, " ") || !integer(&c, &value))
+    line.at = c.at;
+    line.end = memchr(c.at, '\n', (size_t)(c.end - c.at));
+    if (!line.end)
+        return BAD_TEXT;
+    c.at = line.end + 1;
+    if (!literal(&c, "vertices ") || !integer(&c, &n) || !literal(&c, " ")
+        || !integer(&c, &delta) || !literal(&c, "\n"))
+        return BAD_TEXT;
+
+    if (!parent) {
+        count_bytes(line.at, line.end, &spaces, &newlines);
+        if (n_nodes < 1 || spaces != n_nodes)
             return BAD_TEXT;
-        if (parent)
-            parent[i] = value;
+        count_bytes(c.at, c.end, &spaces, &newlines);
+        if (n < 0 || newlines != n || spaces - newlines < n)
+            return BAD_TEXT;
+        head[0] = n_nodes;
+        head[1] = n;
+        head[2] = delta;
+        head[3] = spaces - newlines;
+        return OK;
     }
-    if (!literal(&c, "\nvertices ") || !integer(&c, &n) || n < 0 || n > len / 6
-        || !literal(&c, " ") || !integer(&c, &delta) || !literal(&c, "\n"))
+
+    if (n_nodes != head[0] || n != head[1] || !literal(&line, "parents"))
+        return BAD_TEXT;
+    for (i = 0; i < n_nodes; i++)
+        if (!literal(&line, " ") || !integer(&line, &parent[i]))
+            return BAD_TEXT;
+    if (line.at != line.end)
         return BAD_TEXT;
     for (i = 0; i < n; i++) {
         if (offsets)
             offsets[i] = k;
-        if (!literal(&c, "v ") || !integer(&c, &value))
+        if (!literal(&c, "v ") || !integer(&c, &tops[i]))
             return BAD_TEXT;
-        if (tops)
-            tops[i] = value;
         do {
-            if (!literal(&c, " ") || !integer(&c, &value))
+            if (k == head[3] || !literal(&c, " ") || !integer(&c, &bots[k]))
                 return BAD_TEXT;
-            if (bots)
-                bots[k] = value;
             k++;
         } while (!literal(&c, "\n"));
     }
-    if (c.at != c.end)
+    if (c.at != c.end || k != head[3])
         return BAD_TEXT;
     if (offsets)
         offsets[n] = k;
-    head[0] = n_nodes;
-    head[1] = n;
-    head[2] = delta;
-    head[3] = k;
     return OK;
 }

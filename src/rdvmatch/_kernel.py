@@ -2,16 +2,18 @@
 
 :func:`parse` reads instance text in the canonical form that
 :func:`rdvmatch.io.write_instance` writes straight into ``array('q')``
-columns, in two C calls: one checks the text and counts its records, and
-after the columns are allocated from those counts, one fills them.  It
-refuses every other text, and :func:`rdvmatch.io.parse_instance` then
-runs the Python parser, so every instance and every format error is the
-Python parser's by construction.
+columns, in two C calls.  The first reads the three header integers and
+counts spaces and newlines, which size every column exactly; after the
+columns are allocated from those counts, the second checks every record
+as it fills them.  It refuses every other text, and
+:func:`rdvmatch.io.parse_instance` then runs the Python parser, so every
+instance and every format error is the Python parser's by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
 the tree's parent column and the vertex columns, all ``array('q')``, and
-returns the mate array; the kernel links each node's children itself.
+returns the mate array and its number of pairs; the kernel links each
+node's children itself.
 It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
@@ -149,7 +151,7 @@ def _parse_bytes(data: bytes) -> tuple[array, array, array, array | None, int] |
     head = _zeros(4)
     if kernel.rdv_parse(data, len(data), _address(head), None, None, None, None):
         return None
-    # counts of records the text was checked to hold, never a bare header count
+    # counts of bytes the text holds, never a bare header count
     n_nodes, n, delta, n_bots = head
     parents, tops, bots = _zeros(n_nodes), _zeros(n), _zeros(n_bots)
     offsets = None if delta == 1 and n_bots == n else _zeros(n + 1)
@@ -160,13 +162,13 @@ def _parse_bytes(data: bytes) -> tuple[array, array, array, array | None, int] |
     return None if code else (parents, tops, bots, offsets, delta)
 
 
-def solve(inst) -> tuple[int, array | None, int]:
-    """``(code, mate, find steps)`` of the native solve of ``inst``.
+def solve(inst) -> tuple[int, array | None, int, int]:
+    """``(code, mate, pairs, find steps)`` of the native solve of ``inst``.
 
-    Code 0: the instance is well-formed and ``mate`` is the mate array of
-    :func:`rdvmatch.matching._shoot_greedy`'s matching.  Any other code
-    is a refusal, and ``mate`` is None.  The steps count every step of
-    every find (0 when refused).
+    Code 0: the instance is well-formed, ``mate`` is the mate array of
+    :func:`rdvmatch.matching._shoot_greedy`'s matching and ``pairs`` its
+    number of pairs.  Any other code is a refusal, and ``mate`` is None.
+    The steps count every step of every find (0 when refused).
     """
     tree = inst.tree
     parent, tops, bots, offsets = tree._parent, inst.tops, inst.bots, inst.offsets
@@ -179,17 +181,17 @@ def solve(inst) -> tuple[int, array | None, int]:
         or len(parent) != n_nodes + 1
         or (offsets is not None and len(offsets) != n + 1)
     ):
-        return REFUSED, None, 0
+        return REFUSED, None, 0, 0
     node = array("i", [0]) * (_NODE_FIELDS * (n_nodes + 1))
     aux = array("i", [0]) * (n_nodes + 1)
     order = array("i", [0]) * (n + 1)
     nxt = array("i", [0]) * (n + 1)
     mate = array("q", [0]) * (n + 1)
-    steps = array("q", [0])
+    steps = array("q", [0, 0])  # find steps, pairs
     code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
         _address(node), _address(aux), _address(order), _address(nxt),
         _address(mate), _address(steps),
     )
-    return code, (mate if code == 0 else None), steps[0]
+    return code, (mate if code == 0 else None), steps[1], steps[0]

@@ -277,14 +277,14 @@ class Matching:
         self._size = len(pairs)
 
     @classmethod
-    def from_mates(cls, mate: array) -> Matching:
+    def from_mates(cls, mate: array, size: int) -> Matching:
         """Matching whose vertex v is matched to ``mate[v]``, or free when
-        ``mate[v] == 0`` (slot 0 unused).  The caller guarantees that
-        ``mate`` is a symmetric ``array('q')``; only the pairs are
-        counted."""
+        ``mate[v] == 0`` (slot 0 unused), with ``size`` pairs.  The caller
+        guarantees that ``mate`` is a symmetric ``array('q')`` and counts
+        the pairs as it sets them; nothing is checked."""
         m = object.__new__(cls)
         m._mate = mate
-        m._size = (len(mate) - mate.count(0)) // 2
+        m._size = size
         return m
 
     @property

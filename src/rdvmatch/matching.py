@@ -50,6 +50,7 @@ def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
     for p, v in enumerate(order, start=1):
         pos[v] = p
     mate = array("q", [0]) * len(adjacency)
+    size = 0
     for v in order:
         if mate[v]:
             continue
@@ -62,7 +63,8 @@ def greedy_reference(adjacency: list[list[int]], order: list[int]) -> Matching:
         if best:
             mate[v] = best
             mate[best] = v
-    return Matching.from_mates(mate)
+            size += 1
+    return Matching.from_mates(mate, size)
 
 
 def delayed_greedy(inst: RdvInstance) -> Matching:
@@ -88,9 +90,9 @@ def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     delta exceeds 1.  The native kernel solves the instance; when it
     refuses, or was not built, :func:`_shoot_greedy` does.
     """
-    mate = _kernel.solve(inst)[1]
+    _, mate, size, _ = _kernel.solve(inst)
     if mate is not None:
-        return Matching.from_mates(mate)
+        return Matching.from_mates(mate, size)
     return _shoot_greedy(inst)
 
 
@@ -137,6 +139,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     nxt = [0] * (n + 1)
     rank_of = [0] * (n + 1)
     mate = array("q", [0]) * (n + 1)
+    size = 0
     for rank, v in enumerate(order, start=1):
         top = tops[v - 1]
         depth = y[top]
@@ -160,6 +163,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
             head[best_node] = nxt[best]
             mate[best] = v
             mate[v] = best
+            size += 1
         else:
             rank_of[v] = rank
             if head[top]:
@@ -167,7 +171,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
             else:
                 head[top] = v
             tail[top] = v
-    return Matching.from_mates(mate)
+    return Matching.from_mates(mate, size)
 
 
 def rayshoot_greedy(inst: RdvInstance) -> Matching:
@@ -186,6 +190,7 @@ def rayshoot_greedy(inst: RdvInstance) -> Matching:
     x, y, r = coords.x, coords.y, coords.r
     free_ys = array("q", [0]) * (n + 1)
     mate = array("q", [0]) * (n + 1)
+    size = 0
     for rank, v in enumerate(order, start=1):
         best = None
         best_ys = 0
@@ -198,11 +203,12 @@ def rayshoot_greedy(inst: RdvInstance) -> Matching:
             index.delete(best)
             mate[best] = v
             mate[v] = best
+            size += 1
         else:
             top = inst.top(v)
             ys = free_ys[v] = segment_height(y[top], n, rank)
             index.insert(v, x[top], r[top], ys)
-    return Matching.from_mates(mate)
+    return Matching.from_mates(mate, size)
 
 
 def maximum_matching_oracle(
@@ -259,7 +265,7 @@ def maximum_matching_oracle(
     for v, u in best_pairs:
         mate[v] = u
         mate[u] = v
-    return best_size, Matching.from_mates(mate)
+    return best_size, Matching.from_mates(mate, best_size)
 
 
 def is_simple_vertex(adjacency: list[list[int]], v: int, alive: set[int]) -> bool:

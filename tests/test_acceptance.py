@@ -329,7 +329,7 @@ def test_c6d_find_step_growth_ratio():
     for name, make in GROWTH_FAMILIES.items():
         counts = []
         for k in range(10, 17):
-            code, _, steps = _kernel.solve(make(1 << k))
+            code, _, _, steps = _kernel.solve(make(1 << k))
             assert code == 0, f"{name}: the kernel refused n = 2^{k} (code {code})"
             counts.append(steps)
         ratios = [b / a for a, b in zip(counts, counts[1:])]

@@ -280,7 +280,7 @@ class TestMatchingType:
             Matching([(1, 2), (0, 3)])
 
     def test_mate_array_equals_pair_built(self):
-        by_mates = Matching.from_mates(array("q", [0, 3, 5, 1, 0, 2, 0]))
+        by_mates = Matching.from_mates(array("q", [0, 3, 5, 1, 0, 2, 0]), 2)
         by_pairs = Matching([(5, 2), (1, 3)])
         assert by_mates == by_pairs and by_pairs == by_mates
         assert hash(by_mates) == hash(by_pairs)
@@ -292,7 +292,7 @@ class TestMatchingType:
         assert list(by_mates) == list(by_pairs)
         assert repr(by_mates) == repr(by_pairs)
         assert by_mates != Matching([(1, 3)])
-        assert Matching.from_mates(array("q", [0, 0, 0])) == Matching()
+        assert Matching.from_mates(array("q", [0, 0, 0]), 0) == Matching()
 
     def test_solver_matchings_equal_pair_built(self):
         for seed in range(30):

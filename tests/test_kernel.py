@@ -29,12 +29,21 @@ from rdvmatch.core import (
     InvalidInstanceError,
     RdvInstance,
     VertexPath,
+    bottom_up_order,
     checked_coordinates,
+    oracle_adjacency,
     validate_instance,
 )
 from rdvmatch.gen import GenConfig, gen_comb, gen_dense, gen_random
 from rdvmatch.io import InstanceFormatError, _parse_pure, parse_instance, write_instance
-from rdvmatch.matching import _shoot_greedy, delayed_greedy, delayed_greedy_delta
+from rdvmatch.matching import (
+    _shoot_greedy,
+    delayed_greedy,
+    delayed_greedy_delta,
+    greedy_reference,
+    maximum_matching_oracle,
+    rayshoot_greedy,
+)
 
 from conftest import random_instance
 from test_io import mutated_texts
@@ -47,7 +56,7 @@ ENTRIES = (delayed_greedy, delayed_greedy_delta)
 
 
 def _refuse(inst):
-    return _kernel.REFUSED, None, 0
+    return _kernel.REFUSED, None, 0, 0
 
 
 def outcome(entry, inst, pure=False):
@@ -63,7 +72,7 @@ def outcome(entry, inst, pure=False):
 @needs_kernel
 def test_kernel_equals_pure_loop_on_fast_loop_corpus():
     for name, inst in fast_loop_corpus():
-        code, mate, steps = _kernel.solve(inst)
+        code, mate, _, steps = _kernel.solve(inst)
         assert code == 0, name
         assert mate == _shoot_greedy(inst)._mate, name
         assert steps > 0, name
@@ -109,11 +118,38 @@ def exhaustive_small_instances():
 @needs_kernel
 def test_kernel_accepts_exactly_the_valid_instances():
     for inst in exhaustive_small_instances():
-        code, mate, _ = _kernel.solve(inst)
+        code, mate, _, _ = _kernel.solve(inst)
         violations = validate_instance(inst)
         assert (code == 0) == (violations == []), (inst, code, violations)
         if code == 0:
             assert mate == _shoot_greedy(inst)._mate, inst
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
+def test_pair_count_is_the_number_of_pairs(pure):
+    """Each matching loop counts the pairs it sets, and ``len`` of its
+    matching must be the number of pairs it lists: on the kernel's corpus,
+    with no vertex and with every vertex free (comb), on either route;
+    and from the reference loops."""
+    corpus = fast_loop_corpus(512) + [
+        ("no vertices", RdvInstance(HostTree([0]), [], 1)),
+        ("no vertices, delta 2", RdvInstance(HostTree([0, 1]), [], 2)),
+        ("comb", gen_comb(300, 3)),
+    ]
+    with mock.patch.object(_kernel, "kernel", None) if pure else nullcontext():
+        for name, inst in corpus:
+            m = delayed_greedy_delta(inst)
+            assert len(m) == len(m.edges()), name
+            assert name != "comb" or len(m) == 0
+    for name, inst in corpus:
+        m = rayshoot_greedy(inst)
+        assert len(m) == len(m.edges()), name
+    for seed in range(20):
+        inst = random_instance(seed)
+        adjacency = oracle_adjacency(inst)
+        order = bottom_up_order(inst, checked_coordinates(inst))
+        for m in (greedy_reference(adjacency, order), maximum_matching_oracle(adjacency)[1]):
+            assert len(m) == len(m.edges()), seed
 
 
 def lying_instances():
@@ -360,6 +396,36 @@ def test_lying_header_counts_are_refused_before_allocating(text):
         tracemalloc.stop()
     assert columns is None and peak < 4096, peak
     assert_parses_like_python(text, native=False)
+
+
+# texts whose header counts agree with the bytes the first call counts
+# (spaces on the parents line, newlines and spaces after the vertices
+# line), and whose records lie: the parents line taking in the vertices
+# line is refused while the header lines are read, every other one by the
+# second call
+PLAIN = "tree 2\nparents 0 1\nvertices 2 1\nv 1 2\nv 2 2\n"
+LYING_RECORDS = {
+    "double space, missing space": CANONICAL.replace("v 2 4 2", "v 2 4  2").replace(
+        "v 3 3", "v 33"
+    ),
+    "record split, records joined": CANONICAL.replace("v 2 4 2\nv 3 3", "v 2 4\n2 v 3 3"),
+    "parents newline in the vertices": CANONICAL.replace("tree 4", "tree 6")
+    .replace("1 2\nvertices", "1 2vertices").replace("v 3 3\n", "v 3 3\n\n"),
+    "extra bottom, missing bottom": PLAIN.replace("v 1 2\nv 2 2", "v 1 2 2\nv 2"),
+    "bottoms past the counted ones": PLAIN.replace("v 1 2\nv 2 2", "v 1 2 2 2 2\n9"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("text", LYING_RECORDS.values(), ids=LYING_RECORDS)
+def test_records_that_lie_under_true_counts_parse_like_python(text):
+    assert_parses_like_python(text, native=False)
+    check_tokenizer(text.encode())
+    # cut inside the three header lines: no newline ends the parents line,
+    # or a header line ends early
+    for cut in range(len(text) - len(text.split("\n", 3)[3])):
+        assert_parses_like_python(text[:cut], native=False)
+        check_tokenizer(text[:cut].encode())
 
 
 def test_without_a_kernel_the_python_parser_reads_every_text():
