@@ -15,14 +15,14 @@ import csv
 import io as _io
 import statistics
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass, fields
 
 from .core import Matching, RdvInstance, bottom_up_order, oracle_adjacency
 from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
 from .matching import delayed_greedy, greedy_reference, maximum_matching_oracle
 
-CSV_FIELDS = ["n", "tree_nodes", "edges", "algo", "median_ns", "matching_size", "seed"]
 NOT_MATERIALIZED = "not materialized"
 
 # oracle edge counting is quadratic; skip it above this size
@@ -38,6 +38,9 @@ class BenchRecord:
     median_ns: int
     matching_size: int
     seed: int
+
+
+CSV_FIELDS = [f.name for f in fields(BenchRecord)]
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,15 @@ def verify_matching(inst: RdvInstance, matching: Matching) -> list[CheckEntry]:
     ]
 
     order = bottom_up_order(inst, assign_coordinates(inst.tree))
-    expected = greedy_reference(adjacency, order)
-    got, want = _partners(matching), _partners(expected)
-    v = next((v for v in order if got.get(v) != want.get(v)), None)
+    want = greedy_reference(adjacency, order)._mate
+    # a hand-built matching's mate array ends at its largest id
+    got = matching._mate + array("q", [0]) * (len(want) - len(matching._mate))
+    v = next((v for v in order if got[v] != want[v]), None)
     if v is None:
         problem = ""
-    elif v not in got:
+    elif not got[v]:
         problem = f"vertex {v} left free despite free neighbor {want[v]}"
-    elif v not in want:
+    elif not want[v]:
         problem = f"vertex {v} matched to {got[v]}, which the reference greedy leaves free"
     else:
         problem = f"vertex {v} matched to {got[v]}, not to the reference greedy's {want[v]}"
@@ -93,14 +97,6 @@ def verify_matching(inst: RdvInstance, matching: Matching) -> list[CheckEntry]:
         CheckEntry("order-maximality", not problem, problem or "equals the reference greedy")
     )
     return entries
-
-
-def _partners(matching: Matching) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, j in matching.edges():
-        out[i] = j
-        out[j] = i
-    return out
 
 
 def crosscheck(inst: RdvInstance, bound: int = 24) -> CrosscheckReport:
@@ -127,11 +123,6 @@ def crosscheck(inst: RdvInstance, bound: int = 24) -> CrosscheckReport:
             )
         )
     return CrosscheckReport(tuple(entries))
-
-
-def count_edges_oracle(inst: RdvInstance) -> int:
-    adj = oracle_adjacency(inst)
-    return sum(len(nbrs) for nbrs in adj) // 2
 
 
 def _bench_instance(family: str, n: int, seed: int) -> RdvInstance:
@@ -175,7 +166,9 @@ def bench_sweep(
             times.append(time.perf_counter_ns() - t0)
             size = len(matching)
         edges: int | str = (
-            count_edges_oracle(inst) if n <= EDGE_COUNT_LIMIT else NOT_MATERIALIZED
+            sum(map(len, oracle_adjacency(inst))) // 2
+            if n <= EDGE_COUNT_LIMIT
+            else NOT_MATERIALIZED
         )
         records.append(
             BenchRecord(
@@ -199,18 +192,7 @@ def records_to_csv(records: list[BenchRecord], repeats: int) -> str:
     )
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()
-    for rec in records:
-        writer.writerow(
-            {
-                "n": rec.n,
-                "tree_nodes": rec.tree_nodes,
-                "edges": rec.edges,
-                "algo": rec.algo,
-                "median_ns": rec.median_ns,
-                "matching_size": rec.matching_size,
-                "seed": rec.seed,
-            }
-        )
+    writer.writerows(map(asdict, records))
     return buf.getvalue()
 
 

@@ -566,51 +566,40 @@ def compress_tree(inst: RdvInstance) -> RdvInstance:
         return RdvInstance(HostTree([0]), (), inst.delta)
 
     # splice out unused nodes: up_used[u] = u if used, else nearest used
-    # strict ancestor (0 if none); computed top-down in BFS order
+    # strict ancestor (0 if none), computed top-down in BFS order; the
+    # used children of each used node (of 0: the top-level used nodes)
+    # keep that order
+    parent = tree._parent
+    first, kids = tree._csr
     up_used = [0] * (n_nodes + 1)
+    used_children: list[list[int]] = [[] for _ in range(n_nodes + 1)]
     order = [tree.root]
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        p = tree.parent(node)
+    for node in order:
+        up = up_used[parent[node]]
         if users[node]:
             up_used[node] = node
+            used_children[up].append(node)
         else:
-            up_used[node] = up_used[p] if p else 0
-        order.extend(tree.children(node))
-
-    used_children: list[list[int]] = [[] for _ in range(n_nodes + 1)]
-    top_roots: list[int] = []
-    for node in order:
-        if not users[node]:
-            continue
-        p = up_used[tree.parent(node)] if tree.parent(node) else 0
-        if p:
-            used_children[p].append(node)
-        else:
-            top_roots.append(node)
+            up_used[node] = up
+        order += kids[first[node] : first[node + 1]]
 
     # merge adjacent equal-user-set nodes while assigning new ids in DFS
     # preorder; a fresh empty root joins several top-level components
     new_parents: list[int] = []
     rep = [0] * (n_nodes + 1)
-
-    def new_node(parent_new: int) -> int:
-        new_parents.append(parent_new)
-        return len(new_parents)
-
-    connector = new_node(0) if len(top_roots) > 1 else 0
-    stack = [(r, connector) for r in reversed(top_roots)]
+    if len(used_children[0]) > 1:
+        new_parents.append(0)
+        rep[0] = 1  # node 0 stands for the fresh root
+    stack = used_children[0][::-1]
     while stack:
-        node, parent_new = stack.pop()
-        p_old = up_used[tree.parent(node)] if tree.parent(node) else 0
-        if p_old and users[node] == users[p_old]:
-            rep[node] = rep[p_old]
+        node = stack.pop()
+        up = up_used[parent[node]]
+        if users[node] == users[up]:  # never for up = 0: users[0] is empty
+            rep[node] = rep[up]
         else:
-            rep[node] = new_node(parent_new)
-        for c in reversed(used_children[node]):
-            stack.append((c, rep[node]))
+            new_parents.append(rep[up])
+            rep[node] = len(new_parents)
+        stack += reversed(used_children[node])
 
     new_tree = HostTree(new_parents)
     new_vertices: list[Vertex] = []

@@ -16,10 +16,10 @@ Four routes to a matching:
   the pure route: one traversal of the host tree yields the node
   coordinates, which both validate the instance and place the vertices,
   and each ray is answered by a nearest-free-ancestor find over the host
-  tree itself.  The pure route is also the reference the kernel is
-  tested against.  For delta > 1 the greedy itself is no longer
-  guaranteed to be maximum (the 4-trampoline fixture is the standard
-  witness).
+  tree itself, whose nodes queue the bottom-up ranks of their free
+  vertices.  The pure route is also the reference the kernel is tested
+  against.  For delta > 1 the greedy itself is no longer guaranteed to
+  be maximum (the 4-trampoline fixture is the standard witness).
 * :func:`delayed_greedy` is the delta = 1 case of that one loop: one ray
   per vertex, and on plain instances a maximum matching in
   O(|T| + n log |T|) time.  It refuses any other delta and otherwise
@@ -102,11 +102,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
 
     Vertices go in bottom-up order.  A vertex matches the hit with minimum
     bottom-up rank among its rays' hits, or, with no hit, becomes free and
-    joins the queue of its top node.  Minimum rank is maximum ys: the
-    order sorts by decreasing top depth, so an earlier rank never has a
-    shallower top, and ties in depth go to the earlier rank.  So the loop
-    keeps each free vertex's rank (``rank_of``) and never computes a
-    height.
+    joins the queue of its top node.
 
     The host tree is its own segment tree.  A free vertex's segment spans
     the leaf range of its top node t, and its height orders it first by
@@ -114,13 +110,17 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     deep as the current vertex's top, so the ray from bottom b hits
     exactly the free vertices whose top is an ancestor-or-self of b, and
     the earliest-ranked hit is the front of the queue of the nearest
-    ancestor-or-self of b that holds one.  Queues are FIFO in rank order
-    (``head``/``tail`` per node, ``nxt`` per vertex).  A node deeper than
-    the current top that holds no free vertex never gets one again, so
-    it links to its parent (``link``), and a shot is a find with path
-    halving that stops at a node holding a free vertex or not deeper than
-    the current top: O(log |T|) amortized per ray, as path halving
-    without ranks guarantees.
+    ancestor-or-self of b that holds one.  The order sorts by decreasing
+    top depth, so across rays too the earliest-ranked hit is the highest,
+    and the loop computes no height.  Queues are FIFO and hold ranks
+    (``head``/``tail`` per node, ``nxt`` per rank), so a vertex's hit is
+    the smallest nonzero head its finds stop at, and ``order[best - 1]``
+    is the vertex of rank ``best``.  A node deeper than the current top
+    that holds no free vertex never gets one again, so it links to its
+    parent (``link``), and a shot is a find with path halving that stops
+    at a node holding a free vertex or not deeper than the current top:
+    O(log |T|) amortized per ray, as path halving without ranks
+    guarantees.
 
     The instance is validated first (:func:`checked_coordinates`), and the
     loop reads its columns and writes each pair into a mate array, which
@@ -134,17 +134,15 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     y = coords.y
     parent = inst.tree._parent
     link = [0] * len(parent)  # 0 until the node is linked
-    head = [0] * len(parent)
+    head = [0] * len(parent)  # 0 while the queue is empty
     tail = [0] * len(parent)
     nxt = [0] * (n + 1)
-    rank_of = [0] * (n + 1)
     mate = array("q", [0]) * (n + 1)
     size = 0
     for rank, v in enumerate(order, start=1):
         top = tops[v - 1]
         depth = y[top]
-        best = best_node = 0
-        best_rank = rank  # every hit ranks earlier
+        best = rank  # every hit ranks earlier
         # one ray per bottom: a 1-tuple on a plain instance, else the
         # vertex's slice of the bottoms column
         for u in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
@@ -154,23 +152,19 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
                 w = link[u]
                 w = link[u] = (link[w] or w) if w else parent[u]
                 u = w
-            hit = head[u]
-            if hit and rank_of[hit] < best_rank:
-                best = hit
-                best_rank = rank_of[hit]
-                best_node = u
-        if best:
-            head[best_node] = nxt[best]
-            mate[best] = v
-            mate[v] = best
+            if 0 < head[u] < best:
+                best = head[u]
+        if best < rank:
+            w = order[best - 1]
+            head[tops[w - 1]] = nxt[best]
+            mate[w] = v
+            mate[v] = w
             size += 1
+        elif head[top]:
+            nxt[tail[top]] = rank
+            tail[top] = rank
         else:
-            rank_of[v] = rank
-            if head[top]:
-                nxt[tail[top]] = v
-            else:
-                head[top] = v
-            tail[top] = v
+            head[top] = tail[top] = rank
     return Matching.from_mates(mate, size)
 
 

@@ -345,10 +345,10 @@ def test_c6d_find_step_growth_ratio():
 
 
 # bytes per vertex of the tracemalloc peak below, at n = 2^13: 61 on the
-# native route, where the kernel's columns and tables set it, and 191 on
-# the pure route (no C compiler), where the Python solve sets it over the
-# Python parser's own peak of 174; the instance model of tuples per vertex
-# and per node measured 490.  One bound serves both routes
+# native route, where the kernel's columns and tables set it, and 175 on
+# the pure route (no C compiler), where the Python solve sets it just over
+# the Python parser's own peak of 174; the instance model of tuples per
+# vertex and per node measured 490.  One bound serves both routes
 PEAK_BYTES_PER_VERTEX = 245
 
 

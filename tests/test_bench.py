@@ -23,6 +23,12 @@ def edgeless():
     )
 
 
+def triangle():
+    # three vertices on one node; in bottom-up order 1, 2, 3 the
+    # reference greedy matches 1 to 2 and leaves 3 free
+    return RdvInstance(HostTree([0]), (VertexPath(1, 1),) * 3, 1)
+
+
 class TestCrosscheck:
     def test_k2_passes(self):
         report = crosscheck(k2())
@@ -62,6 +68,30 @@ class TestVerifyMatching:
         maximality = next(e for e in entries if e.name == "order-maximality")
         assert not maximality.passed
         assert "free neighbor" in maximality.detail
+
+    def test_flags_partner_the_reference_leaves_free(self):
+        entries = verify_matching(edgeless(), Matching([(1, 2)]))
+        maximality = next(e for e in entries if e.name == "order-maximality")
+        assert not maximality.passed
+        assert maximality.detail == (
+            "vertex 1 matched to 2, which the reference greedy leaves free"
+        )
+
+    def test_flags_other_partner(self):
+        entries = verify_matching(triangle(), Matching([(1, 3)]))
+        assert [(e.name, e.passed) for e in entries] == [
+            ("validity", True),
+            ("order-maximality", False),
+        ]
+        assert entries[1].detail == "vertex 1 matched to 3, not to the reference greedy's 2"
+
+    def test_short_mate_array_reads_free_past_its_end(self):
+        # Matching(pairs) sizes its mate array by the largest id, 2 here,
+        # so vertex 3 lies past its end; an empty one holds slot 0 alone
+        entries = verify_matching(triangle(), Matching([(1, 2)]))
+        assert all(e.passed for e in entries), entries
+        entries = verify_matching(triangle(), Matching())
+        assert entries[1].detail == "vertex 1 left free despite free neighbor 2"
 
     def test_accepts_honest_run(self):
         inst = random_instance(8, n=20, tree_nodes=25)

@@ -251,6 +251,27 @@ class TestCompressTree:
             twice = compress_tree(once)
             assert write_instance(twice) == write_instance(once)
 
+    def test_new_ids_follow_bfs_then_dfs_preorder(self):
+        # node 2 is used by no vertex, so node 4 hangs from node 1 once it
+        # is spliced out; node 1's used children keep their BFS order, 3
+        # before 4, where a preorder walk in file order would reach 4 first
+        inst = RdvInstance(
+            HostTree([0, 1, 1, 2]), (VertexPath(1, 1), VertexPath(3, 3), VertexPath(4, 4)), 1
+        )
+        assert write_instance(compress_tree(inst)) == (
+            "tree 3\nparents 0 1 1\nvertices 3 1\nv 1 1\nv 2 2\nv 3 3\n"
+        )
+
+    def test_fresh_root_joins_top_level_parts(self):
+        # nodes 1 and 3 are used by no vertex, so the used nodes split into
+        # the parts {2, 4} and {5}, and a fresh root joins them
+        inst = RdvInstance(
+            HostTree([0, 1, 1, 2, 3]), (VertexPath(4, 4), VertexPath(5, 5), VertexPath(2, 4)), 1
+        )
+        assert write_instance(compress_tree(inst)) == (
+            "tree 4\nparents 0 1 2 1\nvertices 3 1\nv 3 3\nv 4 4\nv 2 3\n"
+        )
+
     def test_no_vertices_collapses_to_one_node(self):
         inst = RdvInstance(HostTree([0, 1, 2]), (), 1)
         out = compress_tree(inst)

@@ -47,7 +47,7 @@ from rdvmatch.matching import (
 
 from conftest import random_instance
 from test_io import mutated_texts
-from test_matching import fast_loop_corpus
+from test_matching import fast_loop_corpus, relabeled_cases
 
 needs_kernel = pytest.mark.skipif(
     _kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}"
@@ -76,6 +76,21 @@ def test_kernel_equals_pure_loop_on_fast_loop_corpus():
         assert code == 0, name
         assert mate == _shoot_greedy(inst)._mate, name
         assert steps > 0, name
+
+
+@needs_kernel
+def test_relabeling_nodes_changes_no_result():
+    """Node ids name the tree and nothing else: permuting them keeps the
+    matching on both routes and the kernel's find-step count, although
+    about half the nodes of each relabeled tree come before their parent."""
+    for name, inst, shuffled in relabeled_cases():
+        parents = shuffled.tree.parents()
+        late = sum(p > node for node, p in enumerate(parents, start=1))
+        assert late > len(parents) // 3, name
+        code, mate, size, steps = _kernel.solve(inst)
+        assert code == 0, name
+        assert _kernel.solve(shuffled) == (code, mate, size, steps), name
+        assert _shoot_greedy(shuffled)._mate == _shoot_greedy(inst)._mate == mate, name
 
 
 @needs_kernel

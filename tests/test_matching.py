@@ -1,3 +1,6 @@
+import random
+from array import array
+
 import pytest
 
 from rdvmatch.core import (
@@ -204,9 +207,40 @@ class TestDelayedGreedyDelta:
                     assert hit == adjacency_oracle(inst, vi, vj)
 
 
+def relabeled(inst, seed):
+    """``inst`` with its node ids permuted by a seeded shuffle: the same
+    graph and vertex ids, but about half the nodes now have a parent with
+    a larger id, which no generator writes."""
+    n_nodes = inst.tree.node_count
+    ids = list(range(1, n_nodes + 1))
+    random.Random(seed).shuffle(ids)
+    new_id = [0, *ids]  # the root's parent stays 0
+    parents = [0] * n_nodes
+    for node, p in enumerate(inst.tree.parents(), start=1):
+        parents[new_id[node] - 1] = new_id[p]
+    tops = array("q", [new_id[t] for t in inst.tops])
+    bots = array("q", [new_id[b] for b in inst.bots])
+    return RdvInstance.from_columns(HostTree(parents), tops, bots, inst.offsets, inst.delta)
+
+
+def relabeled_cases(n=4096):
+    """(name, instance, relabeled instance) triples: comb, dense, a path
+    tree and random trees at delta 1 and 2, each with its node ids
+    permuted by :func:`relabeled`."""
+    cases = [
+        ("comb", gen_comb(n, seed=n)),
+        ("dense", gen_dense(n)),
+        ("path", gen_random(GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1))),
+        ("random delta=1", gen_random(GenConfig(seed=1, tree_nodes=n, n_vertices=n))),
+        ("random delta=2", gen_random(GenConfig(seed=2, tree_nodes=n, n_vertices=n, delta=2))),
+    ]
+    return [(name, inst, relabeled(inst, seed)) for seed, (name, inst) in enumerate(cases)]
+
+
 def fast_loop_corpus(n=4096):
-    """(name, instance) pairs: the adversarial shapes at delta 1 and 2 and
-    random trees at delta 1, 2 and 3."""
+    """(name, instance) pairs: the adversarial shapes at delta 1 and 2,
+    random trees at delta 1, 2 and 3, and the relabeled instances of
+    :func:`relabeled_cases`."""
     cases = [
         (f"{name} delta={delta}", inst)
         for delta in (1, 2)
@@ -220,6 +254,7 @@ def fast_loop_corpus(n=4096):
         )
         for delta in (1, 2, 3)
     ]
+    cases += [(f"relabeled {name}", inst) for name, _, inst in relabeled_cases(n)]
     return cases
 
 
