@@ -10,6 +10,12 @@
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
  * host tree as its parent column alone, and the instance's vertex columns.
+ * Its tree pass gives every node its depth and preorder interval.  On a
+ * topological column (node 1 the root, every other node after its
+ * parent), which every generator writes, that is two linear scans whose
+ * cache misses the CPU overlaps; any other column takes child links and a
+ * depth-first pass, one dependent miss after another.  The find loop
+ * prefetches the reads of the vertices a few ranks ahead.
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
  * calls both through ctypes; it checks the column types and lengths before
@@ -27,8 +33,9 @@
 
 /* One host-tree node.  The find loop reads all four fields of every node
    it visits, so they share one 16-byte record.  Until the vertex checks
-   are done, head first heads the node's list of children, then link and
-   head hold its preorder number and the last one in its subtree. */
+   are done, link and head hold its preorder number and the last one in
+   its subtree; before the depth-first pass, head heads its list of
+   children. */
 typedef struct {
     int32_t parent, depth, link, head;
 } node_t;
@@ -38,7 +45,8 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
 /*
  * n_nodes, parent[n_nodes + 1]:
  *     rdvmatch.core.HostTree's parent column (parent[0] == 0; 0 marks a
- *     root).  The kernel links each node's children itself.
+ *     root).  Where the depth-first pass needs them, the kernel links each
+ *     node's children itself.
  * n, tops[n], bots[n_bots], offsets[n + 1] or NULL, delta:
  *     the vertex columns of rdvmatch.core.RdvInstance; with no offsets,
  *     vertex v has the one bottom bots[v - 1].
@@ -55,45 +63,81 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
               int64_t *steps)
 {
     int64_t i, j;
+    int32_t v;
 
-    /* parents in range.  Each node goes in front of its parent's list of
-       children (head, then aux per sibling), so lists come out in file
-       order; node 0 heads the list of roots, which must hold one node. */
-    for (i = n_nodes; i >= 1; i--) {
+    /* parents in range, and whether the column is topological: node 1 is
+       the root and every other node comes after its parent.  Such a
+       column is one tree whose every node is reachable, with no cycle. */
+    int topological = n_nodes >= 1 && parent[1] == 0;
+    for (i = 1; i <= n_nodes; i++) {
         int64_t p = parent[i];
         if (p < 0 || p > n_nodes)
             return BAD_TREE;
         node[i].parent = (int32_t)p;
-        aux[i] = node[p].head;
-        node[p].head = (int32_t)i;
+        topological &= i == 1 || (p >= 1 && p < i);
     }
-    int32_t root = node[0].head;
-    if (!root || aux[root])
-        return BAD_TREE;
 
-    /* one depth-first pass from the root: depth and preorder interval of
-       every node.  While v is on the path, its head is the next child to
-       enter.  Every node sits on one list, its parent's, so it is entered
-       at most once and the walk ends even on a parent cycle; every node
-       entered means every node is reachable. */
-    int32_t v = root, seen = 1;
-    node[v].link = seen;
-    for (;;) {
-        int32_t c = node[v].head;
-        if (c) {
-            node[v].head = aux[c];
-            node[c].depth = node[v].depth + 1;
-            node[c].link = ++seen;
-            v = c;
-        } else {
-            node[v].head = seen;
-            if (v == root)
-                break;
-            v = node[v].parent;
+    if (topological) {
+        /* depth and preorder interval of every node in two linear scans,
+           whose random reads are independent of each other.  The reverse
+           scan puts each subtree's size into aux.  The forward scan meets
+           every parent before its children, and each child, in id order,
+           takes the next free preorder slot of its parent, kept in aux:
+           the depth-first pass's intervals, with children in file order. */
+        for (i = n_nodes; i >= 2; i--) {
+            aux[i]++;
+            aux[node[i].parent] += aux[i];
         }
+        node[1].link = 1;
+        node[1].head = (int32_t)n_nodes;
+        aux[1] = 2;
+        for (i = 2; i <= n_nodes; i++) {
+            int32_t p = node[i].parent, size = aux[i], slot = aux[p];
+            aux[p] = slot + size;
+            node[i].depth = node[p].depth + 1;
+            node[i].link = slot;
+            node[i].head = slot + size - 1;
+            aux[i] = slot + 1;
+        }
+    } else {
+        /* any other column: each node goes in front of its parent's list
+           of children (head, then aux per sibling), so lists come out in
+           file order; node 0 heads the list of roots, which must hold one
+           node. */
+        for (i = n_nodes; i >= 1; i--) {
+            int32_t p = node[i].parent;
+            aux[i] = node[p].head;
+            node[p].head = (int32_t)i;
+        }
+        int32_t root = node[0].head;
+        if (!root || aux[root])
+            return BAD_TREE;
+
+        /* one depth-first pass from the root: depth and preorder interval
+           of every node.  While v is on the path, its head is the next
+           child to enter.  Every node sits on one list, its parent's, so
+           it is entered at most once and the walk ends even on a parent
+           cycle; every node entered means every node is reachable. */
+        int32_t seen = 1;
+        v = root;
+        node[v].link = seen;
+        for (;;) {
+            int32_t c = node[v].head;
+            if (c) {
+                node[v].head = aux[c];
+                node[c].depth = node[v].depth + 1;
+                node[c].link = ++seen;
+                v = c;
+            } else {
+                node[v].head = seen;
+                if (v == root)
+                    break;
+                v = node[v].parent;
+            }
+        }
+        if (seen != n_nodes)
+            return BAD_TREE;
     }
-    if (seen != n_nodes)
-        return BAD_TREE;
 
     if (delta < 1)
         return BAD_DELTA;
@@ -145,6 +189,23 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
     int64_t count = 0, pairs = 0;
     for (int32_t rank = 1; rank <= n; rank++) {
         int32_t u, w, best = 0, at = 0;
+#if defined(__GNUC__)
+        /* the ranks ahead are known, so their reads can start early: the
+           vertex columns of the vertex 16 ranks ahead, and the node records
+           of the top and the bottoms of the one 8 ranks ahead */
+        if (rank + 16 <= n) {
+            v = order[rank + 16];
+            __builtin_prefetch(&tops[v - 1]);
+            __builtin_prefetch(offsets ? &offsets[v - 1] : &bots[v - 1]);
+        }
+        if (rank + 8 <= n) {
+            v = order[rank + 8];
+            int64_t lo = offsets ? offsets[v - 1] : v - 1, hi = offsets ? offsets[v] : v;
+            __builtin_prefetch(&node[tops[v - 1]]);
+            for (j = lo; j < hi; j++)
+                __builtin_prefetch(&node[bots[j]]);
+        }
+#endif
         v = order[rank];
         int32_t top = (int32_t)tops[v - 1], depth = node[top].depth;
         int64_t lo = offsets ? offsets[v - 1] : v - 1, hi = offsets ? offsets[v] : v;

@@ -12,8 +12,10 @@ instance and every format error is the Python parser's by construction.
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
 the tree's parent column and the vertex columns, all ``array('q')``, and
-returns the mate array and its number of pairs; the kernel links each
-node's children itself.
+returns the mate array and its number of pairs.  On a topological
+parent column (node 1 the root, every other node after its parent) the
+kernel reads the tree with two linear scans; on any other column it
+links each node's children itself and walks them depth first.
 It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry

@@ -65,13 +65,16 @@ class CrosscheckReport:
 def verify_matching(inst: RdvInstance, matching: Matching) -> list[CheckEntry]:
     """Validity and per-order maximality of a matching, via the oracles.
 
-    Every pair must be an edge of :func:`oracle_adjacency`, and the
-    matching must be the one :func:`greedy_reference` finds over that
-    adjacency in bottom-up order; the first vertex in the order whose
-    partner differs names the fault.
+    Every pair must be an edge of :func:`oracle_adjacency` (a pair naming
+    an id above ``inst.n`` is a non-edge), and the matching must be the
+    one :func:`greedy_reference` finds over that adjacency in bottom-up
+    order; the first vertex in the order whose partner differs names the
+    fault.
     """
     adjacency = oracle_adjacency(inst)
-    bad_pairs = [(i, j) for i, j in matching.edges() if j not in adjacency[i]]
+    bad_pairs = [
+        (i, j) for i, j in matching.edges() if i > inst.n or j not in adjacency[i]
+    ]
     entries = [
         CheckEntry(
             "validity",

@@ -18,3 +18,13 @@ def random_instance(seed, n=None, tree_nodes=None, max_branching=None, delta=1):
             delta=delta,
         )
     )
+
+
+def topological(tree):
+    """Whether node 1 is the root and every other node comes after its
+    parent: the parent columns the native kernel reads with linear scans
+    instead of its depth-first pass."""
+    parent = tree._parent
+    return tree.node_count >= 1 and parent[1] == 0 and all(
+        1 <= parent[i] < i for i in range(2, tree.node_count + 1)
+    )

@@ -8,6 +8,7 @@ from rdvmatch.bench import (
     verify_matching,
 )
 from rdvmatch.core import HostTree, Matching, RdvInstance, VertexPath
+from rdvmatch.gen import GenConfig, gen_random
 from rdvmatch.matching import delayed_greedy
 
 from conftest import random_instance
@@ -92,6 +93,13 @@ class TestVerifyMatching:
         assert all(e.passed for e in entries), entries
         entries = verify_matching(triangle(), Matching())
         assert entries[1].detail == "vertex 1 left free despite free neighbor 2"
+
+    def test_ids_above_n_are_non_edges(self):
+        inst = gen_random(GenConfig(seed=1, tree_nodes=4, n_vertices=1))
+        for pair in ((inst.n + 1, inst.n + 3), (inst.n, inst.n + 1)):
+            validity = verify_matching(inst, Matching([pair]))[0]
+            assert validity.name == "validity" and not validity.passed
+            assert validity.detail == f"non-edges in matching: {[pair]}"
 
     def test_accepts_honest_run(self):
         inst = random_instance(8, n=20, tree_nodes=25)

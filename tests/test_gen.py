@@ -24,6 +24,10 @@ from rdvmatch.gen import (
 from rdvmatch.geometry import assign_coordinates
 from rdvmatch.io import write_instance
 
+from conftest import topological
+from test_acceptance import GROWTH_FAMILIES, _star
+from test_matching import adversarial_instances, chain_instance
+
 
 def edge_count(inst):
     return sum(len(a) for a in oracle_adjacency(inst)) // 2
@@ -249,3 +253,29 @@ class TestTrampolineFixture:
 
         path = Path(__file__).resolve().parent.parent / "docs" / "trampoline.rdv"
         assert load_instance(path) == fixture_trampoline_instance()
+
+
+def test_every_generator_writes_a_topological_parent_column():
+    """Node 1 is the root and every other node comes after its parent, in
+    every tree the generators and the tests' chain and star builders
+    write, so their instances (the benchmark's workloads and C6d's
+    families among them) take the native kernel's scan route, whatever
+    the machine's timings."""
+    trees = [
+        gen_random(
+            GenConfig(seed=seed, tree_nodes=300, n_vertices=50, delta=delta, max_branching=b)
+        ).tree
+        for seed in range(3)
+        for delta in (1, 2, 3)
+        for b in range(1, 6)
+    ]
+    trees += [gen_random(GenConfig(seed=seed, tree_nodes=1, n_vertices=3)).tree for seed in range(3)]
+    for n in (2, 3, 64, 301):
+        trees += [gen_dense(n).tree, gen_comb(n, seed=n).tree, _star(n).tree]
+        trees += [inst.tree for _, inst in adversarial_instances(1, n) + adversarial_instances(2, n)]
+    trees += [chain_instance(k).tree for k in (4, 64, 300)]
+    trees += [make(n).tree for make in GROWTH_FAMILIES.values() for n in (64, 1024)]
+    trees.append(intervals_to_rdv([(0, 3), (2, 5), (7, 7)]).tree)
+    assert all(map(topological, trees))
+    # and the check itself refuses a child before its parent, or node 1 not the root
+    assert not topological(HostTree([0, 3, 1])) and not topological(HostTree([2, 0]))

@@ -45,9 +45,9 @@ from rdvmatch.matching import (
     rayshoot_greedy,
 )
 
-from conftest import random_instance
+from conftest import random_instance, topological
 from test_io import mutated_texts
-from test_matching import fast_loop_corpus, relabeled_cases
+from test_matching import fast_loop_corpus, relabeled_cases, renumbered
 
 needs_kernel = pytest.mark.skipif(
     _kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}"
@@ -93,6 +93,63 @@ def test_relabeling_nodes_changes_no_result():
         assert _shoot_greedy(shuffled)._mate == _shoot_greedy(inst)._mate == mate, name
 
 
+def one_node_twins(inst):
+    """(name, twin) pairs of a topological instance: the same instance with
+    two node ids swapped, a parent c - 1 and its child c, so that one node
+    alone comes before its parent.  At c = 2 node 1 is no longer the
+    root; the other twins take the pair nearest to the first, the middle
+    and the last node.  The swap keeps every list of children in
+    its order, so it names the same ordered tree."""
+    n_nodes, parent = inst.tree.node_count, inst.tree._parent
+    pairs = [c for c in range(3, n_nodes + 1) if parent[c] == c - 1]
+    chosen = {"node 1 not the root": 2}
+    for where, at in (("first", 3), ("middle", n_nodes // 2), ("last", n_nodes)):
+        if pairs:
+            chosen[f"{where} swap"] = min(pairs, key=lambda c: abs(c - at))
+    for name, c in chosen.items():
+        new_id = list(range(n_nodes + 1))
+        new_id[c - 1], new_id[c] = c, c - 1
+        yield f"{name} at {c}", renumbered(inst, new_id)
+
+
+@needs_kernel
+def test_scan_route_equals_depth_first_pass():
+    """Both tree passes of the kernel on the same trees: each file-order
+    instance of the corpus, which takes the linear scans, against twins
+    that take the child links and the depth-first pass for one node out
+    of order, with the same result, mate array and find-step count."""
+    for name, inst in fast_loop_corpus():
+        if not topological(inst.tree):
+            continue  # the relabeled ones; test_relabeling_nodes_changes_no_result
+        solved = _kernel.solve(inst)
+        assert solved[0] == 0, name
+        twins = list(one_node_twins(inst))
+        # a star has no parent-child pair of ids past the root's
+        assert len(twins) == (1 if name.startswith("star") else 4), name
+        for twin_name, twin in twins:
+            assert not topological(twin.tree), (name, twin_name)
+            assert _kernel.solve(twin) == solved, (name, twin_name)
+            assert _shoot_greedy(twin)._mate == solved[1], (name, twin_name)
+
+
+@needs_kernel
+def test_one_bad_parent_at_the_end_is_refused():
+    """A column that is topological up to its last node, whose parent is 0
+    (a second root) or itself, leaves the scan route and is refused, as
+    validation names a violation."""
+    for name, inst in fast_loop_corpus(256):
+        if not topological(inst.tree):
+            continue
+        n_nodes = inst.tree.node_count
+        for last in (0, n_nodes):
+            parents = array("q", inst.tree._parent[1:])
+            parents[-1] = last
+            bad = RdvInstance.from_columns(
+                HostTree(parents), inst.tops, inst.bots, inst.offsets, inst.delta
+            )
+            assert _kernel.solve(bad)[0] != 0 and validate_instance(bad), (name, last)
+
+
 @needs_kernel
 @settings(max_examples=400, deadline=None)
 @given(mutated_texts())
@@ -108,13 +165,19 @@ def test_entry_points_equal_pure_route_on_mutated_texts(text):
 
 
 def exhaustive_small_instances():
-    """Every parent array of 3 nodes over -1..4 and of 4 nodes over 0..4;
-    every (top, bottom) pair over ids 0..N+1 on small random trees; every
-    bottom count 0..4 under delta 0..3; and no vertices under delta -1..2."""
+    """Every parent array of 3 nodes over -1..4, of 4 nodes over 0..4 and
+    of 5 nodes over 0..5, so every small tree in and out of topological
+    order; every (top, bottom) pair over ids 0..N+1 on small random trees;
+    every bottom count 0..4 under delta 0..3; and no vertices under delta
+    -1..2."""
     for parents in product(range(-1, 5), repeat=3):
         yield RdvInstance(HostTree(parents), [VertexPath(1, 3)], 1)
     for parents in product(range(5), repeat=4):
         yield RdvInstance(HostTree(parents), [VertexPath(2, 4), VertexPath(1, 1)], 1)
+    for parents in product(range(6), repeat=5):
+        yield RdvInstance(
+            HostTree(parents), [VertexPath(1, 5), VertexPath(2, 4), VertexPath(3, 3)], 1
+        )
     for seed in range(12):
         tree = random_instance(seed).tree
         ids = range(tree.node_count + 2)

@@ -211,11 +211,15 @@ def relabeled(inst, seed):
     """``inst`` with its node ids permuted by a seeded shuffle: the same
     graph and vertex ids, but about half the nodes now have a parent with
     a larger id, which no generator writes."""
-    n_nodes = inst.tree.node_count
-    ids = list(range(1, n_nodes + 1))
+    ids = list(range(1, inst.tree.node_count + 1))
     random.Random(seed).shuffle(ids)
-    new_id = [0, *ids]  # the root's parent stays 0
-    parents = [0] * n_nodes
+    return renumbered(inst, [0, *ids])
+
+
+def renumbered(inst, new_id):
+    """``inst`` with node ``i`` renamed ``new_id[i]``, a permutation of
+    the node ids after ``new_id[0] == 0`` (a root's parent stays 0)."""
+    parents = [0] * inst.tree.node_count
     for node, p in enumerate(inst.tree.parents(), start=1):
         parents[new_id[node] - 1] = new_id[p]
     tops = array("q", [new_id[t] for t in inst.tops])
