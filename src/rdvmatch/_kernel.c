@@ -5,7 +5,11 @@
  * write_instance writes into int64 columns, in two calls: the first
  * counts the text's structural bytes without tokenizing it, the caller
  * allocates the columns from those counts, and the second, the one pass
- * that checks every record, fills them.
+ * that checks every record, fills them.  Its integer reader finds the end
+ * of up to 7 digits in one 8-byte word and converts them with three
+ * multiply-shift steps, where the compiler allows; longer integers, and
+ * those within 8 bytes of the end of the text or of the parents line,
+ * take a loop over bytes.
  *
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
@@ -262,13 +266,45 @@ static int literal(cursor_t *c, const char *w)
    digits of magnitude below 2^63; consumes them into *value if so.  Up to
    19 digits cannot wrap m.  Longer digit strings are refused, because
    Python's int() refuses some of them (over 4300 digits) whatever their
-   value. */
+   value.
+
+   Where 8 bytes remain, gcc-compatible compilers on little-endian targets
+   first read them as one word w (Lemire, "Number parsing at a gigabyte
+   per second", SPE 2021).  A byte of t is nonzero where w's byte is not
+   '0'..'9': its high nibble is not 3, or that of the byte plus 6 is not.
+   A carry out of a byte of 0xFA or above only reaches bytes after the
+   first non-digit, so the lowest nonzero byte of t is that non-digit.
+   1 to 7 of them are moved to the top of the word, where the bytes below
+   read as leading zeros, and three multiply-shift steps join digits into
+   pairs, pairs into 4 digits, then 4 into 8.  Every other case, 8 or more
+   digits among them, takes the byte loop. */
 static int integer(cursor_t *c, int64_t *value)
 {
     const char *at = c->at, *digits;
     uint64_t m = 0;
     if (at < c->end && *at == '-')
         at++;
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    if (c->end - at >= 8) {
+        const uint64_t high = 0xF0F0F0F0F0F0F0F0u, zeros = 0x3030303030303030u;
+        uint64_t w, t;
+        int count;
+        memcpy(&w, at, 8);
+        t = ((w & high) ^ zeros) | (((w + 0x0606060606060606u) & high) ^ zeros);
+        if (t) {
+            count = __builtin_ctzll(t) >> 3;
+            if (!count)
+                return 0;
+            w = (w << (64 - 8 * count)) & 0x0F0F0F0F0F0F0F0Fu;
+            w = w * 10 + (w >> 8);
+            w = ((w & 0x000000FF000000FFu) * 0x000F424000000064u
+                 + ((w >> 16) & 0x000000FF000000FFu) * 0x0000271000000001u) >> 32;
+            *value = *c->at == '-' ? -(int64_t)w : (int64_t)w;
+            c->at = at + count;
+            return 1;
+        }
+    }
+#endif
     for (digits = at; at < c->end && (unsigned)(*at - '0') < 10; at++)
         m = m * 10 + (uint64_t)(*at - '0');
     if (at == digits || at - digits > 19 || m > (uint64_t)INT64_MAX)

@@ -376,17 +376,74 @@ def test_native_parse_equals_python_parser_on_mutated_texts(text):
 def test_native_parse_takes_every_written_instance():
     """A refused canonical text would keep results right and lose the
     speed-up, so the tokenizer must take whatever write_instance writes:
-    the solve corpus, small random instances at delta 1..3, no vertices,
-    and ids at the ends of int64."""
+    the solve corpus, small random instances at delta 1..3, the
+    benchmark's four shapes at n = 2^14, whose ids have 5 digits as the
+    benchmark's do, no vertices, and ids at the ends of int64."""
     limit = 2**63 - 1
     corpus = [inst for _, inst in fast_loop_corpus(512)]
     corpus += [random_instance(seed, delta=1 + seed % 3) for seed in range(30)]
+    corpus += [make(2**14) for _, make in SHAPES.values()]
     corpus += [RdvInstance(HostTree([0]), [], delta) for delta in (-4, 0, 1, 2)]
     corpus.append(RdvInstance(HostTree([0, -limit, limit]), [VertexPath(-limit, limit)], 1))
     for inst in corpus:
         text = write_instance(inst)
         assert_parses_like_python(text, native=True)
         assert parse_instance(text) == inst
+
+
+# integers at the edges of the word reader: digit strings of 1 to 20
+# digits, 10^k - 1 and 10^k, and 2^63 - 1 and 2^63, each with and
+# without '-'
+EDGE_INTEGERS = [
+    sign + str(value)
+    for value in [int(("1234567890" * 2)[:count]) for count in range(1, 21)]
+    + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+    + [2**63 - 1, 2**63]
+    for sign in ("", "-")
+]
+
+
+def integer_edge_texts():
+    """``(text, taken)``: each edge integer ending 0 to 9 bytes before the
+    end of the parents line, which bounds the cursor that reads it, and 0
+    to 9 bytes before the end of the text, in its last record.  A gap of
+    one byte on the parents line (a trailing space) and of 0 or 2 in the
+    record (no final newline, a trailing space) is refused whatever the
+    integer; every other gap holds one more integer of 7s."""
+    for integer, gap in product(EDGE_INTEGERS, range(10)):
+        taken = len(integer.lstrip("-")) <= 19 and abs(int(integer)) < 2**63
+        tail = " " + "7" * (gap - 1) if gap else ""
+        nodes = 2 + tail.count(" ")
+        text = f"tree {nodes}\nparents 0 {integer}{tail}\nvertices 1 1\nv 1 1\n"
+        yield text, taken and gap != 1
+        tail = " " + "7" * (gap - 2) + "\n" if gap > 1 else "\n"[:gap]
+        yield f"tree 1\nparents 0\nvertices 1 1\nv 1 {integer}{tail}", taken and gap not in (0, 2)
+
+
+@needs_kernel
+def test_integer_reader_at_its_edges():
+    for text, taken in integer_edge_texts():
+        assert_parses_like_python(text, native=taken)
+        assert check_tokenizer(text.encode()) == taken, text
+
+
+# bytes just outside '0'..'9', NUL, and bytes that carry out of their byte
+# when the word reader's digit test adds 6; the tokenizer refuses each one
+# right after an integer
+NEAR_DIGITS = b"/:\x00\xfa\xff"
+
+
+@needs_kernel
+def test_integer_reader_stops_at_near_digits():
+    for integer, byte in product(EDGE_INTEGERS, NEAR_DIGITS):
+        for text in (
+            f"tree 3\nparents 0 {integer}{chr(byte)} 12345678\nvertices 1 1\nv 1 1\n",
+            f"tree 1\nparents 0\nvertices 1 1\nv 1 {integer}{chr(byte)} 12345678\n",
+        ):
+            data = text.encode("latin-1")
+            assert not check_tokenizer(data), data
+            if byte < 0x80:
+                assert_parses_like_python(text, native=False)
 
 
 CANONICAL = "tree 4\nparents 0 1 1 2\nvertices 3 2\nv 1 4\nv 2 4 2\nv 3 3\n"
@@ -512,17 +569,19 @@ def test_without_a_kernel_the_python_parser_reads_every_text():
             assert_parses_like_python(text, native=False)
 
 
-def check_tokenizer(data: bytes) -> None:
+def check_tokenizer(data: bytes) -> bool:
     """The tokenizer refuses ``data`` or reads it as the Python parser
-    does.  It gets an exactly sized buffer, with no NUL after the text,
-    so that a sanitized build flags a read past the end."""
+    does; whether it took it.  It gets an exactly sized buffer, with no
+    NUL after the text, so that a sanitized build flags a read past the
+    end."""
     columns = _kernel._parse_bytes((ctypes.c_char * len(data)).from_buffer_copy(data))
     if columns is None:
-        return
+        return False
     text = data.decode("ascii")  # the tokenizer takes ASCII alone
     parents, tops, bots, offsets, delta = columns
     inst = RdvInstance.from_columns(HostTree(parents), tops, bots, offsets, delta)
     assert parse_outcome(lambda _: inst, text) == parse_outcome(_parse_pure, text)
+    return True
 
 
 @needs_kernel
