@@ -18,8 +18,11 @@
  * topological column (node 1 the root, every other node after its
  * parent), which every generator writes, that is two linear scans whose
  * cache misses the CPU overlaps; any other column takes child links and a
- * depth-first pass, one dependent miss after another.  The find loop
- * prefetches the reads of the vertices a few ranks ahead.
+ * depth-first pass, one dependent miss after another.  The bottom-up
+ * order packs each rank's top and bottom (or vertex) into one 64-bit
+ * record, so the find loop reads its vertices front to back, prefetches
+ * the node records of the ranks a few ahead, and notes each pair as two
+ * ranks; the mate array is written from them in one last pass.
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
  * calls both through ctypes; it checks the column types and lengths before
@@ -55,8 +58,11 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  *     the vertex columns of rdvmatch.core.RdvInstance; with no offsets,
  *     vertex v has the one bottom bots[v - 1].
  * node[n_nodes + 1], aux[n_nodes + 1], order[n + 1], nxt[n + 1]:
- *     zeroed work tables.
- * mate[n + 1]: zeroed; on success vertex v is matched to mate[v], or free.
+ *     zeroed work tables.  order[r] is the vertex of rank r; nxt holds the
+ *     depth of each vertex's top, then the queue links by rank, then each
+ *     matched rank's partner rank, negated.
+ * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
+ *     and on success vertex v is matched to mate[v], or free (0).
  * steps[2]: each step of a find is added to steps[0], each pair made to
  *     steps[1].
  */
@@ -149,11 +155,12 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
     /* ids in range, 1..delta bottoms each, every top an ancestor-or-self
        of each of its bottoms.  Offsets start at 0, rise by at least one
        per vertex and never pass n_bots, so each slice lies inside bots;
-       the last one ends at n_bots. */
+       the last one ends at n_bots.  nxt[v] takes the depth of v's top. */
     if (offsets && (offsets[0] != 0 || offsets[n] != n_bots))
         return BAD_VERTEX;
     if (!offsets && n_bots != n)
         return BAD_VERTEX;
+    int32_t deepest = 0;
     for (i = 0; i < n; i++) {
         int64_t t = tops[i];
         int64_t lo = offsets ? offsets[i] : i, hi = offsets ? offsets[i + 1] : i + 1;
@@ -165,23 +172,33 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
                 || node[b].link > node[t].head)
                 return BAD_VERTEX;
         }
+        nxt[i + 1] = node[t].depth;
+        if (node[t].depth > deepest)
+            deepest = node[t].depth;
     }
 
     /* bottom-up order: a counting sort on top depth, deepest first, and
        ascending ids within a depth.  aux[d] counts the tops at depth d,
-       then holds the next rank of that depth. */
-    for (i = 0; i <= n_nodes; i++)
+       then holds the next rank of that depth.  Rank r gets its vertex in
+       order[r] and its record in mate[r]: its top in the high 32 bits,
+       and in the low ones its bottom, or with offsets its vertex. */
+    for (i = 0; i <= deepest; i++)
         aux[i] = 0;
-    for (i = 0; i < n; i++)
-        aux[node[tops[i]].depth]++;
+    for (i = 1; i <= n; i++)
+        aux[nxt[i]]++;
     int32_t next = 1;
-    for (i = n_nodes - 1; i >= 0; i--) {
+    for (i = deepest; i >= 0; i--) {
         int32_t tops_here = aux[i];
         aux[i] = next;
         next += tops_here;
     }
-    for (i = 0; i < n; i++)
-        order[aux[node[tops[i]].depth]++] = (int32_t)(i + 1);
+    for (i = 1; i <= n; i++) {
+        int32_t rank = aux[nxt[i]]++;
+        order[rank] = (int32_t)i;
+        mate[rank] = (int64_t)((uint64_t)tops[i - 1] << 32
+                               | (uint64_t)(offsets ? i : bots[i - 1]));
+    }
+    memset(nxt, 0, (size_t)(n + 1) * sizeof *nxt);
     for (i = 0; i <= n_nodes; i++)
         node[i].link = node[i].head = 0;
 
@@ -189,32 +206,33 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
        head is the rank at the front of a node's queue (0: empty), aux the
        rank at its back (read only while head is set), nxt the rank behind
        each queued one.  The smallest head among a vertex's hits is its
-       minimum-rank hit. */
+       minimum-rank hit.  A pair of ranks r and s sets nxt[r] = -s and
+       nxt[s] = -r; the mate array is written from them at the end. */
     int64_t count = 0, pairs = 0;
     for (int32_t rank = 1; rank <= n; rank++) {
         int32_t u, w, best = 0, at = 0;
 #if defined(__GNUC__)
-        /* the ranks ahead are known, so their reads can start early: the
-           vertex columns of the vertex 16 ranks ahead, and the node records
-           of the top and the bottoms of the one 8 ranks ahead */
-        if (rank + 16 <= n) {
-            v = order[rank + 16];
-            __builtin_prefetch(&tops[v - 1]);
-            __builtin_prefetch(offsets ? &offsets[v - 1] : &bots[v - 1]);
-        }
+        /* the records ahead are known, so their reads can start early: the
+           node records of the top and the bottoms 8 ranks ahead, and with
+           offsets the vertex's offsets 16 ranks ahead */
+        if (offsets && rank + 16 <= n)
+            __builtin_prefetch(&offsets[(uint32_t)mate[rank + 16] - 1]);
         if (rank + 8 <= n) {
-            v = order[rank + 8];
-            int64_t lo = offsets ? offsets[v - 1] : v - 1, hi = offsets ? offsets[v] : v;
-            __builtin_prefetch(&node[tops[v - 1]]);
-            for (j = lo; j < hi; j++)
-                __builtin_prefetch(&node[bots[j]]);
+            uint64_t ahead = (uint64_t)mate[rank + 8];
+            __builtin_prefetch(&node[ahead >> 32]);
+            if (offsets)
+                for (j = offsets[(uint32_t)ahead - 1]; j < offsets[(uint32_t)ahead]; j++)
+                    __builtin_prefetch(&node[bots[j]]);
+            else
+                __builtin_prefetch(&node[(uint32_t)ahead]);
         }
 #endif
-        v = order[rank];
-        int32_t top = (int32_t)tops[v - 1], depth = node[top].depth;
-        int64_t lo = offsets ? offsets[v - 1] : v - 1, hi = offsets ? offsets[v] : v;
+        uint64_t record = (uint64_t)mate[rank];
+        int32_t top = (int32_t)(record >> 32), depth = node[top].depth;
+        int64_t lo = offsets ? offsets[(uint32_t)record - 1] : 0;
+        int64_t hi = offsets ? offsets[(uint32_t)record] : 1;
         for (j = lo; j < hi; j++) {
-            u = (int32_t)bots[j];
+            u = offsets ? (int32_t)bots[j] : (int32_t)(uint32_t)record;
             /* u holds no free vertex and lies below the top: it never gets
                one again, so link it to its parent, later halve its path */
             while (!node[u].head && node[u].depth > depth) {
@@ -231,8 +249,8 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
         }
         if (best) {
             node[at].head = nxt[best];
-            mate[v] = order[best];
-            mate[order[best]] = v;
+            nxt[best] = -rank;
+            nxt[rank] = -best;
             pairs++;
         } else if (node[top].head) {
             nxt[aux[top]] = rank;
@@ -241,6 +259,12 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
             node[top].head = aux[top] = rank;
         }
     }
+
+    /* the mate array, from the pairs of ranks */
+    memset(mate, 0, (size_t)(n + 1) * sizeof *mate);
+    for (i = 1; i <= n; i++)
+        if (nxt[i] < 0)
+            mate[order[i]] = order[-nxt[i]];
     steps[0] += count;
     steps[1] += pairs;
     return OK;

@@ -15,7 +15,10 @@ the tree's parent column and the vertex columns, all ``array('q')``, and
 returns the mate array and its number of pairs.  On a topological
 parent column (node 1 the root, every other node after its parent) the
 kernel reads the tree with two linear scans; on any other column it
-links each node's children itself and walks them depth first.
+links each node's children itself and walks them depth first.  Until
+its last pass the mate array holds each rank's packed top and bottom
+(or vertex), so the find loop reads them front to back; it notes each
+pair as two ranks, and the last pass writes the mate array from them.
 It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry

@@ -11,7 +11,9 @@ so each parse is compared with ``_parse_pure`` called directly.
 """
 
 import ctypes
+import inspect
 import shutil
+import sys
 import sysconfig
 import tracemalloc
 from array import array
@@ -76,6 +78,65 @@ def test_kernel_equals_pure_loop_on_fast_loop_corpus():
         assert code == 0, name
         assert mate == _shoot_greedy(inst)._mate, name
         assert steps > 0, name
+
+
+def pure_solve(inst):
+    """``(mate, pairs, find steps)`` of the pure loop ``_shoot_greedy``; its
+    find steps are the line events of the step ``u = w`` in its frame."""
+    lines, first = inspect.getsourcelines(_shoot_greedy)
+    (step,) = [first + i for i, line in enumerate(lines) if line.strip() == "u = w"]
+    steps = 0
+
+    def in_frame(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == step
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code is _shoot_greedy.__code__ else None
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        m = _shoot_greedy(inst)
+    finally:
+        sys.settrace(outer)
+    return m._mate, len(m), steps
+
+
+def pop_and_refill():
+    """A path 1 - 2 - 3 whose node 2 takes vertex 1 in its queue, loses it
+    to vertex 2 (a pop of the queue's tail that empties it), takes vertex
+    3, loses it to vertex 4, and a vertex topped at the root that
+    climbs past both and stays free."""
+    paths = [(2, 3), (2, 2), (2, 3), (2, 2), (1, 3)]
+    return RdvInstance(HostTree([0, 1, 2]), [VertexPath(*p) for p in paths], 1)
+
+
+@needs_kernel
+def test_kernel_equals_pure_loop_with_find_steps():
+    """The kernel writes no mate entry until its last pass, which pairs the
+    ranks it noted: its mate array, pair count and find steps must be
+    those of the pure loop on the benchmark's shapes at n = 2^15 and on
+    the edge cases of that bookkeeping."""
+    n = 1 << 15
+    cases = {
+        "comb": gen_comb(n, 3),
+        "dense": gen_dense(n),
+        "random delta=1": _random(1)(n),
+        "random delta=2": _random(2)(n),
+        "n = 0": RdvInstance(HostTree([0]), [], 1),
+        "n = 1": RdvInstance(HostTree([0]), [VertexPath(1, 1)], 1),
+        "every vertex free": gen_comb(64, 1),
+        "queue emptied by a pop, then refilled": pop_and_refill(),
+    }
+    for name, inst in cases.items():
+        code, mate, pairs, steps = _kernel.solve(inst)
+        assert code == 0, name
+        assert (mate, pairs, steps) == pure_solve(inst), name
+    assert pure_solve(cases["every vertex free"])[1] == 0
+    mate, pairs, steps = pure_solve(cases["queue emptied by a pop, then refilled"])
+    assert (list(mate), pairs, steps) == ([0, 2, 1, 4, 3, 0], 2, 4)
 
 
 @needs_kernel
