@@ -5,11 +5,15 @@
  * write_instance writes into int64 columns, in two calls: the first
  * counts the text's structural bytes without tokenizing it, the caller
  * allocates the columns from those counts, and the second, the one pass
- * that checks every record, fills them.  Its integer reader finds the end
- * of up to 7 digits in one 8-byte word and converts them with three
- * multiply-shift steps, where the compiler allows; longer integers, and
- * those within 8 bytes of the end of the text or of the parents line,
- * take a loop over bytes.
+ * that checks every record, fills them.  The second scans the parents
+ * line and the vertex section in blocks of 64 bytes, each giving masks of
+ * its spaces, newlines and non-digits at once (Langdale & Lemire,
+ * "Parsing Gigabytes of JSON per Second", VLDB J. 2019): SSE2 where the
+ * target has it, else eight 8-byte words.  Token ends come from walking
+ * the separator bits, so no token waits on the one before it, and each
+ * token of 1 to 8 digits is converted from the 8-byte word that ends at
+ * its last byte.  A text it does not take goes to a record loop that
+ * reads each integer byte by byte and decides.
  *
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
@@ -37,6 +41,9 @@
 
 #include <stdint.h>
 #include <string.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 /* One host-tree node.  The find loop reads all four fields of every node
    it visits, so they share one 16-byte record.  Until the vertex checks
@@ -59,8 +66,8 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  *     vertex v has the one bottom bots[v - 1].
  * node[n_nodes + 1], aux[n_nodes + 1], order[n + 1], nxt[n + 1]:
  *     zeroed work tables.  order[r] is the vertex of rank r; nxt holds the
- *     depth of each vertex's top, then the queue links by rank, then each
- *     matched rank's partner rank, negated.
+ *     depth of each vertex's top, then each matched rank's partner rank,
+ *     negated.
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
  *     and on success vertex v is matched to mate[v], or free (0).
  * steps[2]: each step of a find is added to steps[0], each pair made to
@@ -202,12 +209,11 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
     for (i = 0; i <= n_nodes; i++)
         node[i].link = node[i].head = 0;
 
-    /* the find loop of _shoot_greedy, with free vertices queued by rank:
-       head is the rank at the front of a node's queue (0: empty), aux the
-       rank at its back (read only while head is set), nxt the rank behind
-       each queued one.  The smallest head among a vertex's hits is its
-       minimum-rank hit.  A pair of ranks r and s sets nxt[r] = -s and
-       nxt[s] = -r; the mate array is written from them at the end. */
+    /* the find loop of _shoot_greedy: head is the rank of the free vertex
+       a node holds (0: none), never more than one.  The smallest head
+       among a vertex's hits is its minimum-rank hit.  A pair of ranks r
+       and s sets nxt[r] = -s and nxt[s] = -r; the mate array is written
+       from them at the end. */
     int64_t count = 0, pairs = 0;
     for (int32_t rank = 1; rank <= n; rank++) {
         int32_t u, w, best = 0, at = 0;
@@ -248,15 +254,12 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
             }
         }
         if (best) {
-            node[at].head = nxt[best];
+            node[at].head = 0;
             nxt[best] = -rank;
             nxt[rank] = -best;
             pairs++;
-        } else if (node[top].head) {
-            nxt[aux[top]] = rank;
-            aux[top] = rank;
         } else {
-            node[top].head = aux[top] = rank;
+            node[top].head = rank;
         }
     }
 
@@ -290,45 +293,13 @@ static int literal(cursor_t *c, const char *w)
    digits of magnitude below 2^63; consumes them into *value if so.  Up to
    19 digits cannot wrap m.  Longer digit strings are refused, because
    Python's int() refuses some of them (over 4300 digits) whatever their
-   value.
-
-   Where 8 bytes remain, gcc-compatible compilers on little-endian targets
-   first read them as one word w (Lemire, "Number parsing at a gigabyte
-   per second", SPE 2021).  A byte of t is nonzero where w's byte is not
-   '0'..'9': its high nibble is not 3, or that of the byte plus 6 is not.
-   A carry out of a byte of 0xFA or above only reaches bytes after the
-   first non-digit, so the lowest nonzero byte of t is that non-digit.
-   1 to 7 of them are moved to the top of the word, where the bytes below
-   read as leading zeros, and three multiply-shift steps join digits into
-   pairs, pairs into 4 digits, then 4 into 8.  Every other case, 8 or more
-   digits among them, takes the byte loop. */
+   value. */
 static int integer(cursor_t *c, int64_t *value)
 {
     const char *at = c->at, *digits;
     uint64_t m = 0;
     if (at < c->end && *at == '-')
         at++;
-#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    if (c->end - at >= 8) {
-        const uint64_t high = 0xF0F0F0F0F0F0F0F0u, zeros = 0x3030303030303030u;
-        uint64_t w, t;
-        int count;
-        memcpy(&w, at, 8);
-        t = ((w & high) ^ zeros) | (((w + 0x0606060606060606u) & high) ^ zeros);
-        if (t) {
-            count = __builtin_ctzll(t) >> 3;
-            if (!count)
-                return 0;
-            w = (w << (64 - 8 * count)) & 0x0F0F0F0F0F0F0F0Fu;
-            w = w * 10 + (w >> 8);
-            w = ((w & 0x000000FF000000FFu) * 0x000F424000000064u
-                 + ((w >> 16) & 0x000000FF000000FFu) * 0x0000271000000001u) >> 32;
-            *value = *c->at == '-' ? -(int64_t)w : (int64_t)w;
-            c->at = at + count;
-            return 1;
-        }
-    }
-#endif
     for (digits = at; at < c->end && (unsigned)(*at - '0') < 10; at++)
         m = m * 10 + (uint64_t)(*at - '0');
     if (at == digits || at - digits > 19 || m > (uint64_t)INT64_MAX)
@@ -367,6 +338,198 @@ static void count_bytes(const char *at, const char *end, int64_t *spaces,
     *newlines = l;
 }
 
+/* The 8 bytes at p as a little-endian word, on any target. */
+static inline uint64_t word_at(const char *p)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t w;
+    memcpy(&w, p, 8);
+    return w;
+#else
+    const unsigned char *b = (const unsigned char *)p;
+    return (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16
+           | (uint64_t)b[3] << 24 | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40
+           | (uint64_t)b[6] << 48 | (uint64_t)b[7] << 56;
+#endif
+}
+
+/* The value of the count (1 to 8) digits that end at last, at least 7
+   bytes into the text.  The word that ends at last holds them in its top
+   bytes; the bytes below are cleared to read as leading zeros, and three
+   multiply-shift steps join digits into pairs, pairs into 4 digits, then
+   4 into 8 (Lemire, "Number parsing at a gigabyte per second", SPE
+   2021). */
+static inline int64_t digits(const char *last, int64_t count)
+{
+    uint64_t w = word_at(last - 7) & ~(uint64_t)0 << (64 - 8 * count) & 0x0F0F0F0F0F0F0F0Fu;
+    w = w * 10 + (w >> 8);
+    w = ((w & 0x000000FF000000FFu) * 0x000F424000000064u
+         + ((w >> 16) & 0x000000FF000000FFu) * 0x0000271000000001u) >> 32;
+    return (int64_t)w;
+}
+
+/* The index of the lowest set bit of x, which is not 0. */
+static inline int lowest_bit(uint64_t x)
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    /* the ones below the lowest one, counted in bit fields of 2, 4, 8 */
+    x = (x & (0 - x)) - 1;
+    x -= x >> 1 & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + (x >> 2 & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return (int)(x * 0x0101010101010101u >> 56);
+#endif
+}
+
+/* Bit i of each mask stands for byte i of a block of 64. */
+typedef struct {
+    uint64_t space, newline, nondigit;
+} masks_t;
+
+/* The masks of the 64 bytes at at: spaces, newlines, and bytes that are
+   not '0'..'9'. */
+static inline masks_t block_masks(const char *at)
+{
+    masks_t m = {0, 0, 0};
+    uint64_t digit = 0;
+    int i;
+#if defined(__SSE2__)
+    const __m128i space = _mm_set1_epi8(' '), newline = _mm_set1_epi8('\n');
+    const __m128i shift = _mm_set1_epi8(0x80 - '0'), bound = _mm_set1_epi8(-128 + 10);
+    for (i = 0; i < 64; i += 16) {
+        __m128i b = _mm_loadu_si128((const __m128i *)(at + i));
+        m.space |= (uint64_t)(uint16_t)_mm_movemask_epi8(_mm_cmpeq_epi8(b, space)) << i;
+        m.newline |= (uint64_t)(uint16_t)_mm_movemask_epi8(_mm_cmpeq_epi8(b, newline)) << i;
+        /* shifted by 0x80 - '0', the digits wrap to the ten smallest
+           signed bytes */
+        digit |= (uint64_t)(uint16_t)_mm_movemask_epi8(
+                     _mm_cmplt_epi8(_mm_add_epi8(b, shift), bound)) << i;
+    }
+#else
+    const uint64_t ones = 0x0101010101010101u, high = 0x80 * ones, low = 0x7F * ones;
+    /* the high bits of a word, one per byte, gathered into its top byte */
+    const uint64_t gather = 0x0102040810204080u;
+    for (i = 0; i < 64; i += 8) {
+        uint64_t w = word_at(at + i), s = w ^ ' ' * ones, l = w ^ '\n' * ones;
+        uint64_t b = w & low;
+        /* a byte's high bit is set when the byte of s (of l) is zero: no
+           sum crosses a byte, so the test is exact; and when w's byte is
+           below 0x80 and its low 7 bits are at least 0x30, not 0x3A */
+        s = ~(((s & low) + low) | s) & high;
+        l = ~(((l & low) + low) | l) & high;
+        b = (b + 0x50 * ones) & ~(b + 0x46 * ones) & ~w & high;
+        m.space |= ((s >> 7) * gather >> 56) << i;
+        m.newline |= ((l >> 7) * gather >> 56) << i;
+        digit |= ((b >> 7) * gather >> 56) << i;
+    }
+#endif
+    m.nondigit = ~digit;
+    return m;
+}
+
+/* The masks of the block of [at, end) that starts at at.  A last block
+   of fewer than 64 bytes is copied, so that no read passes end, and its
+   bits past end are cleared. */
+static inline masks_t masks(const char *at, const char *end)
+{
+    char tail[64];
+    masks_t m;
+    uint64_t keep;
+    if (end - at >= 64)
+        return block_masks(at);
+    memset(tail, 0, sizeof tail);
+    memcpy(tail, at, (size_t)(end - at));
+    m = block_masks(tail);
+    keep = ((uint64_t)1 << (end - at)) - 1;
+    m.space &= keep;
+    m.newline &= keep;
+    m.nondigit &= keep;
+    return m;
+}
+
+/* The block scan of the parents section [at, end): p_1 ... p_N\n, with a
+   space before at.  Every token ends at a separator, found by walking the
+   block's separator bits, so no token waits on the one before it.  Fills
+   parent[1..n_nodes] and says whether it took the section: n_nodes
+   tokens of 1 to 8 digits. */
+static int scan_parents(const char *at, const char *end, int64_t n_nodes,
+                        int64_t *parent)
+{
+    int64_t i = 0, base, last = -1;
+    for (base = 0; base < end - at; base += 64) {
+        masks_t m = masks(at + base, end);
+        uint64_t sep = m.space | m.newline;
+        if (m.nondigit & ~sep)
+            return 0;
+        for (; sep; sep &= sep - 1) {
+            int64_t p = base + lowest_bit(sep), count = p - last - 1;
+            if ((uint64_t)(count - 1) >= 8 || i == n_nodes)
+                return 0;
+            parent[++i] = digits(at + p - 1, count);
+            last = p;
+        }
+    }
+    return i == n_nodes;
+}
+
+/* The block scan of the vertex section [at, end), with a newline before
+   at: n lines v t b_1 [b_2 ...]\n, the text's last byte a newline.  Each
+   line's first token must be exactly v, which is where the section's
+   non-digits that are not separators must lie, so they are n in all; no
+   token may be empty, and every other one is 1 to 8 digits.  Fills tops,
+   bots and offsets (or not, when NULL) and says whether it took the
+   section, with exactly n_bots bottoms. */
+static int scan_vertices(const char *at, const char *end, int64_t n,
+                         int64_t n_bots, int64_t *tops, int64_t *bots,
+                         int64_t *offsets)
+{
+    int64_t i = 0, k = 0, base, last = -1;
+    uint64_t starts = 1; /* the bytes that start a line */
+    int role = 0;        /* of the next token: the v, the top, a bottom */
+    if (offsets)
+        offsets[0] = 0;
+    for (base = 0; base < end - at; base += 64) {
+        masks_t m = masks(at + base, end);
+        uint64_t sep = m.space | m.newline;
+        starts |= m.newline << 1;
+        if (m.nondigit & ~sep & ~starts)
+            return 0;
+        starts = m.newline >> 63;
+        for (; sep; sep &= sep - 1) {
+            int bit = lowest_bit(sep);
+            int64_t p = base + bit, count = p - last - 1;
+            if ((uint64_t)(count - 1) >= 8)
+                return 0;
+            if (role == 2) {
+                if (k == n_bots)
+                    return 0;
+                bots[k++] = digits(at + p - 1, count);
+                if (m.newline >> bit & 1) {
+                    if (offsets)
+                        offsets[i + 1] = k;
+                    i++;
+                    role = 0;
+                }
+            } else if (m.newline >> bit & 1) {
+                return 0;
+            } else if (role == 1) {
+                if (i == n)
+                    return 0;
+                tops[i] = digits(at + p - 1, count);
+                role = 2;
+            } else {
+                if (count != 1 || at[p - 1] != 'v')
+                    return 0;
+                role = 1;
+            }
+            last = p;
+        }
+    }
+    return i == n && k == n_bots && last == end - at - 1;
+}
+
 /*
  * text[len]: an instance in the canonical form of write_instance, and
  * nothing else:
@@ -387,11 +550,17 @@ static void count_bytes(const char *at, const char *end, int64_t *spaces,
  * per bottom, is n_bots, at least n.  So no count comes from the header
  * alone, and a text whose header lies is refused before anything is
  * allocated.  The second call passes the same text and head, and columns
- * sized from head: parent[n_nodes], tops[n], bots[n_bots], and
- * offsets[n + 1], or NULL when delta == 1 and n_bots == n (every vertex
- * has one bottom).  It checks every record, refuses a bottom past
- * bots[n_bots - 1], and refuses unless it read exactly n_bots of them;
- * the byte counts are exact for canonical text, so it fills every column.
+ * sized from head: parent[n_nodes + 1], of which it fills slots 1..N and
+ * sets slot 0 to 0, as rdvmatch.core.HostTree keeps it; tops[n];
+ * bots[n_bots]; and offsets[n + 1], or NULL when delta == 1 and n_bots ==
+ * n (every vertex has one bottom).  The block scan reads the parents line
+ * and the vertex section 64 bytes at a time; a text it does not take,
+ * one with a signed or a 9 to 19 digit integer among others, goes to the
+ * record loop, which reads every integer with integer().  That loop
+ * decides, so every text taken reads as the Python parser reads it.  Both
+ * refuse a bottom past bots[n_bots - 1] and refuse unless they read
+ * exactly n_bots of them; the byte counts are exact for canonical text,
+ * so they fill every column.
  */
 int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
               int64_t *tops, int64_t *bots, int64_t *offsets)
@@ -427,7 +596,14 @@ int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
 
     if (n_nodes != head[0] || n != head[1] || !literal(&line, "parents"))
         return BAD_TEXT;
-    for (i = 0; i < n_nodes; i++)
+    parent[0] = 0;
+    if (line.at < line.end && *line.at == ' '
+        && scan_parents(line.at + 1, line.end + 1, n_nodes, parent)
+        && scan_vertices(c.at, c.end, n, head[3], tops, bots, offsets))
+        return OK;
+
+    /* the record loop */
+    for (i = 1; i <= n_nodes; i++)
         if (!literal(&line, " ") || !integer(&line, &parent[i]))
             return BAD_TEXT;
     if (line.at != line.end)

@@ -2,12 +2,16 @@
 
 :func:`parse` reads instance text in the canonical form that
 :func:`rdvmatch.io.write_instance` writes straight into ``array('q')``
-columns, in two C calls.  The first reads the three header integers and
-counts spaces and newlines, which size every column exactly; after the
-columns are allocated from those counts, the second checks every record
-as it fills them.  It refuses every other text, and
-:func:`rdvmatch.io.parse_instance` then runs the Python parser, so every
-instance and every format error is the Python parser's by construction.
+columns, in two C calls over the ``str``'s own bytes, which an ASCII
+``str`` hands out without a copy.  The first reads the three header
+integers and counts spaces and newlines, which size every column
+exactly; after the columns are allocated from those counts, the second
+checks every record as it fills them, 64 bytes at a time.  The parent
+column comes out as :class:`rdvmatch.core.HostTree` keeps it, slot 0
+included, so the tree adopts it as it is.  The kernel refuses every
+other text, and :func:`rdvmatch.io.parse_instance` then runs the Python
+parser, so every instance and every format error is the Python parser's
+by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
@@ -17,8 +21,9 @@ parent column (node 1 the root, every other node after its parent) the
 kernel reads the tree with two linear scans; on any other column it
 links each node's children itself and walks them depth first.  Until
 its last pass the mate array holds each rank's packed top and bottom
-(or vertex), so the find loop reads them front to back; it notes each
-pair as two ranks, and the last pass writes the mate array from them.
+(or vertex), so the find loop reads them front to back; a node holds at
+most one free vertex, by rank; the loop notes each pair as two ranks,
+and the last pass writes the mate array from them.
 It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
@@ -116,7 +121,7 @@ def _load() -> tuple[ctypes.PyDLL | None, str | None]:
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"cannot build or load the kernel: {exc}"
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.rdv_parse.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.rdv_parse.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
     lib.rdv_parse.restype = ctypes.c_int
     lib.rdv_solve.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.rdv_solve.restype = ctypes.c_int
@@ -124,6 +129,11 @@ def _load() -> tuple[ctypes.PyDLL | None, str | None]:
 
 
 kernel, LOAD_ERROR = _load()
+
+# the UTF-8 bytes of a str, which are its own bytes when it is ASCII
+_as_utf8 = ctypes.pythonapi.PyUnicode_AsUTF8AndSize
+_as_utf8.argtypes = [ctypes.py_object, ctypes.c_void_p]
+_as_utf8.restype = ctypes.c_void_p
 
 
 def _int64_column(col) -> bool:
@@ -140,28 +150,34 @@ def _zeros(size: int) -> array:
 
 def parse(text: str) -> tuple[array, array, array, array | None, int] | None:
     """``(parents, tops, bots, offsets, delta)`` of canonical instance
-    text, laid out as :meth:`rdvmatch.core.RdvInstance.from_columns` takes
-    them, or None when the kernel refuses the text or is not built.
+    text, laid out as :meth:`rdvmatch.core.HostTree.from_column` and
+    :meth:`rdvmatch.core.RdvInstance.from_columns` take them, or None when
+    the kernel refuses the text or is not built.
 
-    ``parents`` has one entry per node (0 marks the root), and ``offsets``
-    is None exactly when ``delta == 1`` and every vertex has one bottom.
+    ``parents`` has one slot per node and slot 0, which holds 0 (0 marks
+    the root), and ``offsets`` is None exactly when ``delta == 1`` and
+    every vertex has one bottom.  The kernel reads an ASCII ``str`` in
+    place: CPython keeps its bytes as they are, which
+    ``PyUnicode_AsUTF8AndSize`` hands out without a copy.
     """
     if kernel is None or not text.isascii():
         return None
-    return _parse_bytes(text.encode("ascii"))
+    return _parse_bytes(_as_utf8(text, None), len(text))
 
 
-def _parse_bytes(data: bytes) -> tuple[array, array, array, array | None, int] | None:
-    """:func:`parse` of ``data``, any bytes; the kernel refuses non-ASCII."""
+def _parse_bytes(data, size: int) -> tuple[array, array, array, array | None, int] | None:
+    """:func:`parse` of the ``size`` bytes at ``data``, any bytes: an
+    address, or a buffer of them, that stays alive through the call; the
+    kernel refuses non-ASCII."""
     head = _zeros(4)
-    if kernel.rdv_parse(data, len(data), _address(head), None, None, None, None):
+    if kernel.rdv_parse(data, size, _address(head), None, None, None, None):
         return None
     # counts of bytes the text holds, never a bare header count
     n_nodes, n, delta, n_bots = head
-    parents, tops, bots = _zeros(n_nodes), _zeros(n), _zeros(n_bots)
+    parents, tops, bots = _zeros(n_nodes + 1), _zeros(n), _zeros(n_bots)
     offsets = None if delta == 1 and n_bots == n else _zeros(n + 1)
     code = kernel.rdv_parse(
-        data, len(data), _address(head), _address(parents), _address(tops), _address(bots),
+        data, size, _address(head), _address(parents), _address(tops), _address(bots),
         None if offsets is None else _address(offsets),
     )
     return None if code else (parents, tops, bots, offsets, delta)

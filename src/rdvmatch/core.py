@@ -83,6 +83,15 @@ class HostTree:
             par = [0, *parents]
         self._parent = par
 
+    @classmethod
+    def from_column(cls, parent: array) -> HostTree:
+        """Tree over a parent column laid out as ``_parent`` (slot 0 holds
+        0, slot i the parent of node i); it is kept, not copied."""
+        tree = object.__new__(cls)
+        tree.node_count = len(parent) - 1
+        tree._parent = parent
+        return tree
+
     @cached_property
     def _csr(self) -> tuple[array, array]:
         n, keys = self.node_count, list(self._parent)

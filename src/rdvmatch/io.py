@@ -16,8 +16,10 @@ Parsing runs the native tokenizer of :mod:`rdvmatch._kernel` first.  It
 takes only the canonical form :func:`write_instance` writes (ASCII,
 single spaces, ``\n`` line ends, decimal integers of magnitude below
 2**63, a final newline) and refuses every other text, which the Python
-parser (:func:`_parse_pure`) then reads.  Both build the same instance
-from every text the tokenizer takes, so every instance and every
+parser (:func:`_parse_pure`) then reads.  The tokenizer reads the
+``str`` in place, 64 bytes at a time, and the host tree adopts the
+parent column it fills.  Both build the same instance from every text
+the tokenizer takes, so every instance and every
 :class:`InstanceFormatError` is the Python parser's by construction.
 The Python parser reads the records in one walk, checking and
 converting each as it goes, and names the line of the first fault.
@@ -85,7 +87,7 @@ def parse_instance(text: str) -> RdvInstance:
     if columns is None:
         return _parse_pure(text)
     parents, tops, bots, offsets, delta = columns
-    return RdvInstance.from_columns(HostTree(parents), tops, bots, offsets, delta)
+    return RdvInstance.from_columns(HostTree.from_column(parents), tops, bots, offsets, delta)
 
 
 def _parse_pure(text: str) -> RdvInstance:

@@ -16,7 +16,7 @@ Four routes to a matching:
   the pure route: one traversal of the host tree yields the node
   coordinates, which both validate the instance and place the vertices,
   and each ray is answered by a nearest-free-ancestor find over the host
-  tree itself, whose nodes queue the bottom-up ranks of their free
+  tree itself, whose nodes hold the bottom-up ranks of their free
   vertices.  The pure route is also the reference the kernel is tested
   against.  For delta > 1 the greedy itself is no longer guaranteed to
   be maximum (the 4-trampoline fixture is the standard witness).
@@ -102,18 +102,20 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
 
     Vertices go in bottom-up order.  A vertex matches the hit with minimum
     bottom-up rank among its rays' hits, or, with no hit, becomes free and
-    joins the queue of its top node.
+    is held by its top node.
 
     The host tree is its own segment tree.  A free vertex's segment spans
     the leaf range of its top node t, and its height orders it first by
     the depth of t, then by rank.  Every free vertex's top is at least as
     deep as the current vertex's top, so the ray from bottom b hits
     exactly the free vertices whose top is an ancestor-or-self of b, and
-    the earliest-ranked hit is the front of the queue of the nearest
+    the earliest-ranked hit is the free vertex of the nearest
     ancestor-or-self of b that holds one.  The order sorts by decreasing
     top depth, so across rays too the earliest-ranked hit is the highest,
-    and the loop computes no height.  Queues are FIFO and hold ranks
-    (``head``/``tail`` per node, ``nxt`` per rank), so a vertex's hit is
+    and the loop computes no height.  No node ever holds two free
+    vertices: a node that holds one is never linked, so every find of a
+    later vertex with that top stops there or at an earlier hit.  ``head``
+    holds each node's free vertex by rank (0: none), a vertex's hit is
     the smallest nonzero head its finds stop at, and ``order[best - 1]``
     is the vertex of rank ``best``.  A node deeper than the current top
     that holds no free vertex never gets one again, so it links to its
@@ -134,9 +136,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     y = coords.y
     parent = inst.tree._parent
     link = [0] * len(parent)  # 0 until the node is linked
-    head = [0] * len(parent)  # 0 while the queue is empty
-    tail = [0] * len(parent)
-    nxt = [0] * (n + 1)
+    head = [0] * len(parent)  # 0 while the node holds no free vertex
     mate = array("q", [0]) * (n + 1)
     size = 0
     for rank, v in enumerate(order, start=1):
@@ -156,15 +156,12 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
                 best = head[u]
         if best < rank:
             w = order[best - 1]
-            head[tops[w - 1]] = nxt[best]
+            head[tops[w - 1]] = 0
             mate[w] = v
             mate[v] = w
             size += 1
-        elif head[top]:
-            nxt[tail[top]] = rank
-            tail[top] = rank
         else:
-            head[top] = tail[top] = rank
+            head[top] = rank
     return Matching.from_mates(mate, size)
 
 

@@ -452,7 +452,7 @@ def test_native_parse_takes_every_written_instance():
         assert parse_instance(text) == inst
 
 
-# integers at the edges of the word reader: digit strings of 1 to 20
+# integers at the edges of the integer readers: digit strings of 1 to 20
 # digits, 10^k - 1 and 10^k, and 2^63 - 1 and 2^63, each with and
 # without '-'
 EDGE_INTEGERS = [
@@ -488,9 +488,9 @@ def test_integer_reader_at_its_edges():
         assert check_tokenizer(text.encode()) == taken, text
 
 
-# bytes just outside '0'..'9', NUL, and bytes that carry out of their byte
-# when the word reader's digit test adds 6; the tokenizer refuses each one
-# right after an integer
+# bytes just outside '0'..'9', NUL, and bytes of 0x80 and above, which
+# the block scan's digit masks must count as non-digits; the tokenizer
+# refuses each one right after an integer
 NEAR_DIGITS = b"/:\x00\xfa\xff"
 
 
@@ -505,6 +505,98 @@ def test_integer_reader_stops_at_near_digits():
             assert not check_tokenizer(data), data
             if byte < 0x80:
                 assert_parses_like_python(text, native=False)
+
+
+# integers of 1 to 9 digits, with and without '-': the block scan reads 1
+# to 8 digits and hands a signed or longer one to the record loop
+BLOCK_INTEGERS = [sign + "123456789"[:count] for count in range(1, 10) for sign in ("", "-")]
+
+
+def parents_filler(size):
+    """``size`` bytes of parent tokens of 1 or 2 digits, each followed by
+    a space, or None where no such run has that size."""
+    if size == 1:
+        return None
+    return "11 " + "1 " * ((size - 3) // 2) if size % 2 else "1 " * (size // 2)
+
+
+def lines_filler(size):
+    """``size`` bytes of vertex lines ``v 1 1...\n`` of 6 to 13 bytes, or
+    None where no such run has that size."""
+    if 0 < size < 6:
+        return None
+    lines = []
+    while size:
+        length = size if size <= 13 else min(13, size - 6)
+        lines.append("v 1 " + "1" * (length - 5) + "\n")
+        size -= length
+    return "".join(lines)
+
+
+def block_edge_texts():
+    """``(text, where)``: each of BLOCK_INTEGERS with its last byte at
+    every offset from -9 to +9 around the block boundaries at 64, 128 and
+    192 bytes into the parents section (which starts after "parents ")
+    and into the vertex section, as a parent, a top and a bottom; both
+    sections run past 256 bytes."""
+    for integer, boundary, shift in product(BLOCK_INTEGERS, (64, 128, 192), range(-9, 10)):
+        last = boundary + shift
+        before = parents_filler(last + 1 - len(integer))
+        if before is not None:
+            parents = before + integer + " 1" * 150
+            nodes = len(parents.split())
+            yield f"tree {nodes}\nparents {parents}\nvertices 1 1\nv 1 1\n", "parent"
+        for where, head, tail in (("top", "v ", " 1\n"), ("bottom", "v 1 ", "\n")):
+            before = lines_filler(last + 1 - len(integer) - len(head))
+            if before is not None:
+                lines = before + head + integer + tail + "v 1 1\n" * 50
+                count = lines.count("\n")
+                yield f"tree 1\nparents 0\nvertices {count} 1\n{lines}", where
+
+
+@needs_kernel
+def test_block_scan_at_block_edges():
+    texts = list(block_edge_texts())
+    assert {where for _, where in texts} == {"parent", "top", "bottom"}
+    for text, where in texts:
+        assert check_tokenizer(text.encode()), (where, text)
+        assert_parses_like_python(text, native=True)
+
+
+# each section spans three blocks of the block scan
+THREE_BLOCKS = write_instance(random_instance(3, n=20, tree_nodes=64, delta=2))
+
+
+@needs_kernel
+def test_three_block_text_cut_at_every_byte_parses_like_python():
+    parents_line, vertices = THREE_BLOCKS.split("\n", 1)[1], THREE_BLOCKS.split("\n", 3)[3]
+    assert 128 < len(parents_line.split("\n")[0]) - len("parents") <= 192
+    assert 128 < len(vertices) <= 192
+    for cut in range(len(THREE_BLOCKS) + 1):
+        text = THREE_BLOCKS[:cut]
+        assert check_tokenizer(text.encode()) == (cut == len(THREE_BLOCKS)), cut
+        assert_parses_like_python(text, native=cut == len(THREE_BLOCKS))
+
+
+@needs_kernel
+@pytest.mark.parametrize("planted", ["-5", "1234567890"])
+def test_signed_and_long_ids_are_taken(planted):
+    """A signed or 10-digit id, which the block scan leaves to the record
+    loop, planted first and last in each section of a three-block text:
+    the record loop takes the text and reads it as the Python parser
+    does, over whatever the block scan wrote before it stopped."""
+    head, parents, counts, vertices = THREE_BLOCKS.split("\n", 3)
+    first, *middle, last = parents.split(" ")[1:]
+    lines = vertices.split("\n")[:-1]
+    texts = [
+        "\n".join([head, " ".join(["parents", planted, *middle, last]), counts, vertices]),
+        "\n".join([head, " ".join(["parents", first, *middle, planted]), counts, vertices]),
+        "\n".join([head, parents, counts, "\n".join([f"v {planted} 1", *lines[1:]])]) + "\n",
+        "\n".join([head, parents, counts, "\n".join([*lines[:-1], f"v 1 {planted}"])]) + "\n",
+    ]
+    for text in texts:
+        assert check_tokenizer(text.encode()), text
+        assert_parses_like_python(text, native=True)
 
 
 CANONICAL = "tree 4\nparents 0 1 1 2\nvertices 3 2\nv 1 4\nv 2 4 2\nv 3 3\n"
@@ -594,6 +686,21 @@ def test_lying_header_counts_are_refused_before_allocating(text):
     assert_parses_like_python(text, native=False)
 
 
+@needs_kernel
+def test_native_parse_reads_the_str_in_place():
+    """The tokenizer reads an ASCII str's own bytes: a parse allocates
+    its columns and no copy of the text."""
+    text = write_instance(SHAPES["random"][1](2**12))
+    tracemalloc.start()
+    try:
+        columns = _kernel.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(8 * len(c) for c in columns[:4] if c is not None)
+    assert column_bytes < peak < column_bytes + len(text) // 2, (peak, column_bytes, len(text))
+
+
 # texts whose header counts agree with the bytes the first call counts
 # (spaces on the parents line, newlines and spaces after the vertices
 # line), and whose records lie: the parents line taking in the vertices
@@ -635,19 +742,38 @@ def check_tokenizer(data: bytes) -> bool:
     does; whether it took it.  It gets an exactly sized buffer, with no
     NUL after the text, so that a sanitized build flags a read past the
     end."""
-    columns = _kernel._parse_bytes((ctypes.c_char * len(data)).from_buffer_copy(data))
+    columns = _kernel._parse_bytes((ctypes.c_char * len(data)).from_buffer_copy(data), len(data))
     if columns is None:
         return False
     text = data.decode("ascii")  # the tokenizer takes ASCII alone
     parents, tops, bots, offsets, delta = columns
-    inst = RdvInstance.from_columns(HostTree(parents), tops, bots, offsets, delta)
+    assert parents[0] == 0 and len(parents) == len(text.split("\n", 2)[1].split())
+    inst = RdvInstance.from_columns(HostTree.from_column(parents), tops, bots, offsets, delta)
     assert parse_outcome(lambda _: inst, text) == parse_outcome(_parse_pure, text)
     return True
 
 
+@st.composite
+def alphabet_texts(draw):
+    """Up to 300 bytes over the tokenizer's alphabet, split at the first
+    newline into a parents line and a vertex section under a header whose
+    counts agree with them, so the second call runs on them."""
+    body = bytes(draw(st.lists(st.sampled_from(b"0123456789" + b"  \n-v"), max_size=300)))
+    parents, newline, vertices = body.partition(b"\n")
+    delta = draw(st.integers(1, 3))
+    header = b"tree %d\nparents" % parents.count(b" ")
+    return header + parents + b"\nvertices %d %d\n" % (vertices.count(b"\n"), delta) + vertices
+
+
 @needs_kernel
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(b"tree ".__add__)))
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(b"tree ".__add__),
+        alphabet_texts(),
+    )
+)
 def test_tokenizer_fuzz_arbitrary_bytes(data):
     check_tokenizer(data)
 

@@ -12,6 +12,7 @@ from rdvmatch.core import (
     VertexSubtree,
     adjacency_oracle,
     bottom_up_order,
+    checked_coordinates,
     oracle_adjacency,
 )
 from rdvmatch.gen import (
@@ -260,6 +261,56 @@ def fast_loop_corpus(n=4096):
     ]
     cases += [(f"relabeled {name}", inst) for name, _, inst in relabeled_cases(n)]
     return cases
+
+
+def fifo_shoot_greedy(inst):
+    """The find loop of ``_shoot_greedy`` as it was with a FIFO queue of
+    free vertices per node (``head``, ``tail``, and ``nxt`` per rank):
+    the matching, and how often a miss appended to a nonempty queue."""
+    coords = checked_coordinates(inst)
+    order = bottom_up_order(inst, coords)
+    y, parent, tops = coords.y, inst.tree._parent, inst.tops
+    link, head, tail = [0] * len(parent), [0] * len(parent), [0] * len(parent)
+    nxt = [0] * (inst.n + 1)
+    mate = array("q", [0]) * (inst.n + 1)
+    size = appends = 0
+    for rank, v in enumerate(order, start=1):
+        top = tops[v - 1]
+        best = rank
+        for u in inst.bottoms(v):
+            while not head[u] and y[u] > y[top]:
+                w = link[u]
+                w = link[u] = (link[w] or w) if w else parent[u]
+                u = w
+            if 0 < head[u] < best:
+                best = head[u]
+        if best < rank:
+            w = order[best - 1]
+            head[tops[w - 1]] = nxt[best]
+            mate[w], mate[v] = v, w
+            size += 1
+        elif head[top]:
+            appends += 1
+            nxt[tail[top]] = rank
+            tail[top] = rank
+        else:
+            head[top] = tail[top] = rank
+    return Matching.from_mates(mate, size), appends
+
+
+def test_no_node_ever_holds_two_free_vertices():
+    # a node that holds a free vertex is never linked, so a later vertex
+    # with the same top always hits: the queue the loop once kept per
+    # node never took a second vertex, and one rank per node suffices
+    corpus = fast_loop_corpus(512) + [
+        (f"seed={seed}", random_instance(seed, max_branching=1 + seed % 5, delta=1 + seed % 3))
+        for seed in range(600)
+    ]
+    for name, inst in corpus:
+        matching, appends = fifo_shoot_greedy(inst)
+        assert appends == 0, name
+        assert _shoot_greedy(inst) == matching, name
+        assert delayed_greedy_delta(inst) == matching, name
 
 
 def test_fast_loop_equals_rayshoot_reference():
