@@ -12,8 +12,8 @@
  * target has it, else eight 8-byte words.  Token ends come from walking
  * the separator bits, so no token waits on the one before it, and each
  * token of 1 to 8 digits is converted from the 8-byte word that ends at
- * its last byte.  A text it does not take goes to a record loop that
- * reads each integer byte by byte and decides.
+ * its last byte, one of 9 or 10 digits from two such words.  It is the
+ * only reader of the records: a text it does not take is refused.
  *
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
@@ -293,7 +293,7 @@ static int literal(cursor_t *c, const char *w)
    digits of magnitude below 2^63; consumes them into *value if so.  Up to
    19 digits cannot wrap m.  Longer digit strings are refused, because
    Python's int() refuses some of them (over 4300 digits) whatever their
-   value. */
+   value.  It reads the three header integers alone. */
 static int integer(cursor_t *c, int64_t *value)
 {
     const char *at = c->at, *digits;
@@ -366,6 +366,23 @@ static inline int64_t digits(const char *last, int64_t count)
     w = ((w & 0x000000FF000000FFu) * 0x000F424000000064u
          + ((w >> 16) & 0x000000FF000000FFu) * 0x0000271000000001u) >> 32;
     return (int64_t)w;
+}
+
+/* The value of the count (9 or 10) digits that end at last, at least 15
+   bytes into the text: two words, the last 8 digits and the ones before.
+   Apart from digits(), so that the 1 to 8 digit path stays as it is. */
+static int64_t long_digits(const char *last, int64_t count)
+{
+    return digits(last - 8, count - 8) * 100000000 + digits(last, 8);
+}
+
+/* The value of the count digits that end at last, or -1 unless count is
+   1 to 10. */
+static inline int64_t token(const char *last, int64_t count)
+{
+    if ((uint64_t)(count - 1) < 8)
+        return digits(last, count);
+    return (uint64_t)(count - 9) < 2 ? long_digits(last, count) : -1;
 }
 
 /* The index of the lowest set bit of x, which is not 0. */
@@ -453,7 +470,7 @@ static inline masks_t masks(const char *at, const char *end)
    space before at.  Every token ends at a separator, found by walking the
    block's separator bits, so no token waits on the one before it.  Fills
    parent[1..n_nodes] and says whether it took the section: n_nodes
-   tokens of 1 to 8 digits. */
+   tokens of 1 to 10 digits. */
 static int scan_parents(const char *at, const char *end, int64_t n_nodes,
                         int64_t *parent)
 {
@@ -464,10 +481,10 @@ static int scan_parents(const char *at, const char *end, int64_t n_nodes,
         if (m.nondigit & ~sep)
             return 0;
         for (; sep; sep &= sep - 1) {
-            int64_t p = base + lowest_bit(sep), count = p - last - 1;
-            if ((uint64_t)(count - 1) >= 8 || i == n_nodes)
+            int64_t p = base + lowest_bit(sep), value = token(at + p - 1, p - last - 1);
+            if (value < 0 || i == n_nodes)
                 return 0;
-            parent[++i] = digits(at + p - 1, count);
+            parent[++i] = value;
             last = p;
         }
     }
@@ -478,7 +495,7 @@ static int scan_parents(const char *at, const char *end, int64_t n_nodes,
    at: n lines v t b_1 [b_2 ...]\n, the text's last byte a newline.  Each
    line's first token must be exactly v, which is where the section's
    non-digits that are not separators must lie, so they are n in all; no
-   token may be empty, and every other one is 1 to 8 digits.  Fills tops,
+   token may be empty, and every other one is 1 to 10 digits.  Fills tops,
    bots and offsets (or not, when NULL) and says whether it took the
    section, with exactly n_bots bottoms. */
 static int scan_vertices(const char *at, const char *end, int64_t n,
@@ -499,13 +516,12 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
         starts = m.newline >> 63;
         for (; sep; sep &= sep - 1) {
             int bit = lowest_bit(sep);
-            int64_t p = base + bit, count = p - last - 1;
-            if ((uint64_t)(count - 1) >= 8)
-                return 0;
+            int64_t p = base + bit, count = p - last - 1, value;
             if (role == 2) {
-                if (k == n_bots)
+                value = token(at + p - 1, count);
+                if (value < 0 || k == n_bots)
                     return 0;
-                bots[k++] = digits(at + p - 1, count);
+                bots[k++] = value;
                 if (m.newline >> bit & 1) {
                     if (offsets)
                         offsets[i + 1] = k;
@@ -515,9 +531,10 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
             } else if (m.newline >> bit & 1) {
                 return 0;
             } else if (role == 1) {
-                if (i == n)
+                value = token(at + p - 1, count);
+                if (value < 0 || i == n)
                     return 0;
-                tops[i] = digits(at + p - 1, count);
+                tops[i] = value;
                 role = 2;
             } else {
                 if (count != 1 || at[p - 1] != 'v')
@@ -537,10 +554,11 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
  *     tree N\nparents p_1 ... p_N\nvertices n delta\n
  *     v t b_1 [b_2 ...]\n  (n lines)
  *
- * with N >= 1, n >= 0, single spaces, a final newline, and every value an
- * integer as integer() reads it.  Comments, blank lines, other white
- * space, other spellings of integers and records too few or too many are
- * all refused.
+ * with N >= 1, n >= 0, single spaces and a final newline.  The three
+ * header values are integers as integer() reads them, and every other
+ * value is 1 to 10 unsigned decimal digits.  Comments, blank lines, other
+ * white space, other spellings of integers (a sign, 11 digits or more) and
+ * records too few or too many are all refused.
  *
  * head[4]: n_nodes, n, delta, n_bots.  The first call passes NULL for
  * every column and gets head filled in.  It reads the three header
@@ -554,19 +572,17 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
  * sets slot 0 to 0, as rdvmatch.core.HostTree keeps it; tops[n];
  * bots[n_bots]; and offsets[n + 1], or NULL when delta == 1 and n_bots ==
  * n (every vertex has one bottom).  The block scan reads the parents line
- * and the vertex section 64 bytes at a time; a text it does not take,
- * one with a signed or a 9 to 19 digit integer among others, goes to the
- * record loop, which reads every integer with integer().  That loop
- * decides, so every text taken reads as the Python parser reads it.  Both
- * refuse a bottom past bots[n_bots - 1] and refuse unless they read
- * exactly n_bots of them; the byte counts are exact for canonical text,
- * so they fill every column.
+ * and the vertex section 64 bytes at a time and decides: a text it does
+ * not take is refused, so every text taken reads as the Python parser
+ * reads it.  It refuses a bottom past bots[n_bots - 1] and refuses unless
+ * it reads exactly n_bots of them; the byte counts are exact for
+ * canonical text, so it fills every column.
  */
 int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
               int64_t *tops, int64_t *bots, int64_t *offsets)
 {
     cursor_t c = {text, text + len}, line;
-    int64_t n_nodes, n, delta, spaces, newlines, i, k = 0;
+    int64_t n_nodes, n, delta, spaces, newlines;
 
     /* the header lines, the parents line found by its newline */
     if (!literal(&c, "tree ") || !integer(&c, &n_nodes) || !literal(&c, "\n"))
@@ -601,27 +617,5 @@ int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
         && scan_parents(line.at + 1, line.end + 1, n_nodes, parent)
         && scan_vertices(c.at, c.end, n, head[3], tops, bots, offsets))
         return OK;
-
-    /* the record loop */
-    for (i = 1; i <= n_nodes; i++)
-        if (!literal(&line, " ") || !integer(&line, &parent[i]))
-            return BAD_TEXT;
-    if (line.at != line.end)
-        return BAD_TEXT;
-    for (i = 0; i < n; i++) {
-        if (offsets)
-            offsets[i] = k;
-        if (!literal(&c, "v ") || !integer(&c, &tops[i]))
-            return BAD_TEXT;
-        do {
-            if (k == head[3] || !literal(&c, " ") || !integer(&c, &bots[k]))
-                return BAD_TEXT;
-            k++;
-        } while (!literal(&c, "\n"));
-    }
-    if (c.at != c.end || k != head[3])
-        return BAD_TEXT;
-    if (offsets)
-        offsets[n] = k;
-    return OK;
+    return BAD_TEXT;
 }

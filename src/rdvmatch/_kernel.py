@@ -6,12 +6,14 @@ columns, in two C calls over the ``str``'s own bytes, which an ASCII
 ``str`` hands out without a copy.  The first reads the three header
 integers and counts spaces and newlines, which size every column
 exactly; after the columns are allocated from those counts, the second
-checks every record as it fills them, 64 bytes at a time.  The parent
-column comes out as :class:`rdvmatch.core.HostTree` keeps it, slot 0
-included, so the tree adopts it as it is.  The kernel refuses every
-other text, and :func:`rdvmatch.io.parse_instance` then runs the Python
-parser, so every instance and every format error is the Python parser's
-by construction.
+checks every record as it fills them, 64 bytes at a time, and takes ids
+of 1 to 10 unsigned digits, every id below the solve's limit of
+2**31 - 1.  The parent column comes out as
+:class:`rdvmatch.core.HostTree` keeps it, slot 0 included, so the tree
+adopts it as it is.  The kernel refuses every other text, a signed or an
+11-digit id included, and :func:`rdvmatch.io.parse_instance` then runs
+the Python parser, so every instance and every format error is the
+Python parser's by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
@@ -152,7 +154,8 @@ def parse(text: str) -> tuple[array, array, array, array | None, int] | None:
     """``(parents, tops, bots, offsets, delta)`` of canonical instance
     text, laid out as :meth:`rdvmatch.core.HostTree.from_column` and
     :meth:`rdvmatch.core.RdvInstance.from_columns` take them, or None when
-    the kernel refuses the text or is not built.
+    the kernel refuses the text or is not built.  The kernel takes ids of
+    1 to 10 unsigned digits, and header values of magnitude below 2**63.
 
     ``parents`` has one slot per node and slot 0, which holds 0 (0 marks
     the root), and ``offsets`` is None exactly when ``delta == 1`` and

@@ -14,12 +14,13 @@ to identical bytes.
 
 Parsing runs the native tokenizer of :mod:`rdvmatch._kernel` first.  It
 takes only the canonical form :func:`write_instance` writes (ASCII,
-single spaces, ``\n`` line ends, decimal integers of magnitude below
-2**63, a final newline) and refuses every other text, which the Python
-parser (:func:`_parse_pure`) then reads.  The tokenizer reads the
-``str`` in place, 64 bytes at a time, and the host tree adopts the
-parent column it fills.  Both build the same instance from every text
-the tokenizer takes, so every instance and every
+single spaces, ``\n`` line ends, ids of 1 to 10 unsigned decimal digits,
+header values of magnitude below 2**63, a final newline) and refuses
+every other text, which the Python parser (:func:`_parse_pure`) then
+reads: signed ids and ids of 11 or more digits among others.  The
+tokenizer reads the ``str`` in place, 64 bytes at a time, and the host
+tree adopts the parent column it fills.  Both build the same instance
+from every text the tokenizer takes, so every instance and every
 :class:`InstanceFormatError` is the Python parser's by construction.
 The Python parser reads the records in one walk, checking and
 converting each as it goes, and names the line of the first fault.

@@ -439,17 +439,24 @@ def test_native_parse_takes_every_written_instance():
     speed-up, so the tokenizer must take whatever write_instance writes:
     the solve corpus, small random instances at delta 1..3, the
     benchmark's four shapes at n = 2^14, whose ids have 5 digits as the
-    benchmark's do, no vertices, and ids at the ends of int64."""
-    limit = 2**63 - 1
+    benchmark's do, no vertices, and ids up to 2^31 - 2, the largest the
+    native solve takes.  Ids at the ends of int64 go to the Python
+    parser, which reads them as they were written."""
+    top = 2**31 - 2
     corpus = [inst for _, inst in fast_loop_corpus(512)]
     corpus += [random_instance(seed, delta=1 + seed % 3) for seed in range(30)]
     corpus += [make(2**14) for _, make in SHAPES.values()]
     corpus += [RdvInstance(HostTree([0]), [], delta) for delta in (-4, 0, 1, 2)]
-    corpus.append(RdvInstance(HostTree([0, -limit, limit]), [VertexPath(-limit, limit)], 1))
+    corpus.append(RdvInstance(HostTree([0, top, 1]), [VertexPath(top, 1), VertexPath(1, top)], 1))
     for inst in corpus:
         text = write_instance(inst)
         assert_parses_like_python(text, native=True)
         assert parse_instance(text) == inst
+    limit = 2**63 - 1
+    ends = RdvInstance(HostTree([0, -limit, limit]), [VertexPath(-limit, limit)], 1)
+    text = write_instance(ends)
+    assert_parses_like_python(text, native=False)
+    assert _parse_pure(text) == ends
 
 
 # integers at the edges of the integer readers: digit strings of 1 to 20
@@ -465,20 +472,26 @@ EDGE_INTEGERS = [
 
 
 def integer_edge_texts():
-    """``(text, taken)``: each edge integer ending 0 to 9 bytes before the
-    end of the parents line, which bounds the cursor that reads it, and 0
-    to 9 bytes before the end of the text, in its last record.  A gap of
-    one byte on the parents line (a trailing space) and of 0 or 2 in the
-    record (no final newline, a trailing space) is refused whatever the
-    integer; every other gap holds one more integer of 7s."""
-    for integer, gap in product(EDGE_INTEGERS, range(10)):
-        taken = len(integer.lstrip("-")) <= 19 and abs(int(integer)) < 2**63
-        tail = " " + "7" * (gap - 1) if gap else ""
-        nodes = 2 + tail.count(" ")
-        text = f"tree {nodes}\nparents 0 {integer}{tail}\nvertices 1 1\nv 1 1\n"
-        yield text, taken and gap != 1
-        tail = " " + "7" * (gap - 2) + "\n" if gap > 1 else "\n"[:gap]
-        yield f"tree 1\nparents 0\nvertices 1 1\nv 1 {integer}{tail}", taken and gap not in (0, 2)
+    """``(text, taken)``: each edge integer as the first parent, whose
+    token starts 15 bytes into the text, so that the word reads that
+    convert it reach back to byte 8 and no further; then ending 0 to 9
+    bytes before the end of the parents line, which bounds the cursor that
+    reads it, and 0 to 9 bytes before the end of the text, in its last
+    record.  A gap of one byte on the parents line (a trailing space) and
+    of 0 or 2 in the record (no final newline, a trailing space) is
+    refused whatever the integer; every other gap holds one more integer
+    of 7s.  The block scan takes unsigned integers of up to 10 digits."""
+    for integer in EDGE_INTEGERS:
+        taken = integer.isdigit() and len(integer) <= 10
+        yield f"tree 1\nparents {integer}\nvertices 1 1\nv 1 1\n", taken
+        for gap in range(10):
+            tail = " " + "7" * (gap - 1) if gap else ""
+            nodes = 2 + tail.count(" ")
+            text = f"tree {nodes}\nparents 0 {integer}{tail}\nvertices 1 1\nv 1 1\n"
+            yield text, taken and gap != 1
+            tail = " " + "7" * (gap - 2) + "\n" if gap > 1 else "\n"[:gap]
+            text = f"tree 1\nparents 0\nvertices 1 1\nv 1 {integer}{tail}"
+            yield text, taken and gap not in (0, 2)
 
 
 @needs_kernel
@@ -507,9 +520,9 @@ def test_integer_reader_stops_at_near_digits():
                 assert_parses_like_python(text, native=False)
 
 
-# integers of 1 to 9 digits, with and without '-': the block scan reads 1
-# to 8 digits and hands a signed or longer one to the record loop
-BLOCK_INTEGERS = [sign + "123456789"[:count] for count in range(1, 10) for sign in ("", "-")]
+# unsigned integers of 1 to 10 digits: the block scan converts 1 to 8
+# digits from one word and 9 or 10 from two
+BLOCK_INTEGERS = ["1234567890"[:count] for count in range(1, 11)]
 
 
 def parents_filler(size):
@@ -579,12 +592,13 @@ def test_three_block_text_cut_at_every_byte_parses_like_python():
 
 
 @needs_kernel
-@pytest.mark.parametrize("planted", ["-5", "1234567890"])
-def test_signed_and_long_ids_are_taken(planted):
-    """A signed or 10-digit id, which the block scan leaves to the record
-    loop, planted first and last in each section of a three-block text:
-    the record loop takes the text and reads it as the Python parser
-    does, over whatever the block scan wrote before it stopped."""
+@pytest.mark.parametrize("planted", ["-5", "12345678901", "1234567890"])
+def test_only_unsigned_ids_of_up_to_10_digits_are_taken(planted):
+    """An id planted first and last in each section of a three-block
+    text: the block scan takes a 10-digit one and refuses a signed or an
+    11-digit one, which the Python parser then reads, whatever the scan
+    wrote before it stopped."""
+    taken = planted.isdigit() and len(planted) <= 10
     head, parents, counts, vertices = THREE_BLOCKS.split("\n", 3)
     first, *middle, last = parents.split(" ")[1:]
     lines = vertices.split("\n")[:-1]
@@ -595,8 +609,8 @@ def test_signed_and_long_ids_are_taken(planted):
         "\n".join([head, parents, counts, "\n".join([*lines[:-1], f"v 1 {planted}"])]) + "\n",
     ]
     for text in texts:
-        assert check_tokenizer(text.encode()), text
-        assert_parses_like_python(text, native=True)
+        assert check_tokenizer(text.encode()) == taken, text
+        assert_parses_like_python(text, native=taken)
 
 
 CANONICAL = "tree 4\nparents 0 1 1 2\nvertices 3 2\nv 1 4\nv 2 4 2\nv 3 3\n"
@@ -637,10 +651,10 @@ PLANTED = [
     ("empty", "", False),
     ("upper case", CANONICAL.replace("tree", "TREE"), False),
     ("leading zeros", CANONICAL.replace("v 1 4", "v 001 0004"), True),
-    ("minus zero", CANONICAL.replace("parents 0", "parents -0"), True),
-    ("negative ids", CANONICAL.replace("v 1 4", "v -1 -4"), True),
-    ("ids 2^63 - 1", CANONICAL.replace("v 1 4", f"v {2**63 - 1} {1 - 2**63}"), True),
-    ("19 digits", CANONICAL.replace("v 1 4", "v 0000000000000000001 4"), True),
+    ("minus zero", CANONICAL.replace("parents 0", "parents -0"), False),
+    ("negative ids", CANONICAL.replace("v 1 4", "v -1 -4"), False),
+    ("ids 2^63 - 1", CANONICAL.replace("v 1 4", f"v {2**63 - 1} {1 - 2**63}"), False),
+    ("19 digits", CANONICAL.replace("v 1 4", "v 0000000000000000001 4"), False),
     ("delta 1, one bottom each", "tree 2\nparents 0 1\nvertices 2 1\nv 1 2\nv 2 2\n", True),
     ("delta 1, two bottoms", CANONICAL.replace("3 2\n", "3 1\n"), True),
     ("delta 2, one bottom each", CANONICAL.replace("v 2 4 2", "v 2 4"), True),
@@ -740,8 +754,8 @@ def test_without_a_kernel_the_python_parser_reads_every_text():
 def check_tokenizer(data: bytes) -> bool:
     """The tokenizer refuses ``data`` or reads it as the Python parser
     does; whether it took it.  It gets an exactly sized buffer, with no
-    NUL after the text, so that a sanitized build flags a read past the
-    end."""
+    NUL after the text, so that a sanitized build flags a read before its
+    start or past its end."""
     columns = _kernel._parse_bytes((ctypes.c_char * len(data)).from_buffer_copy(data), len(data))
     if columns is None:
         return False

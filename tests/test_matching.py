@@ -324,6 +324,39 @@ def test_fast_loop_equals_rayshoot_reference():
             assert delayed_greedy(inst) == ref, name
 
 
+def shuffled_vertices(inst, seed):
+    """``inst`` (delta 1, one bottom each) with its vertex ids permuted by
+    a seeded shuffle: the same tree and vertex paths, so the same graph,
+    with the ties among tops of one depth ranked another way."""
+    assert inst.offsets is None
+    ids = list(range(inst.n))
+    random.Random(seed).shuffle(ids)
+    tops = array("q", [inst.tops[i] for i in ids])
+    bots = array("q", [inst.bots[i] for i in ids])
+    return RdvInstance.from_columns(inst.tree, tops, bots, None, 1)
+
+
+def test_tie_order_within_a_depth_keeps_the_size():
+    # the bottom-up order ranks tops of one depth by vertex id, and for
+    # delta = 1 any order of those ties gives a maximum matching: the
+    # oracle's size on small instances, one size across orders at scale
+    for seed in range(400):
+        inst = random_instance(seed, n=2 + seed % 13)
+        maximum, _ = maximum_matching_oracle(oracle_adjacency(inst))
+        for shuffle in range(8 * seed, 8 * seed + 8):
+            assert len(delayed_greedy(shuffled_vertices(inst, shuffle))) == maximum, seed
+    n = 2**12
+    shapes = {
+        "random": gen_random(GenConfig(seed=n, tree_nodes=n, n_vertices=n)),
+        "path": gen_random(GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1)),
+        "dense": gen_dense(n),
+        "comb": gen_comb(n, seed=n),
+    }
+    for name, inst in shapes.items():
+        sizes = {len(delayed_greedy(shuffled_vertices(inst, seed))) for seed in range(5)}
+        assert sizes == {len(delayed_greedy(inst))}, (name, sizes)
+
+
 @pytest.mark.parametrize("entry", [delayed_greedy, delayed_greedy_delta])
 @pytest.mark.parametrize(
     "parents",
