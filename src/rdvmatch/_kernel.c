@@ -21,12 +21,21 @@
  * Its tree pass gives every node its depth and preorder interval.  On a
  * topological column (node 1 the root, every other node after its
  * parent), which every generator writes, that is two linear scans whose
- * cache misses the CPU overlaps; any other column takes child links and a
- * depth-first pass, one dependent miss after another.  The bottom-up
- * order packs each rank's top and bottom (or vertex) into one 64-bit
- * record, so the find loop reads its vertices front to back, prefetches
- * the node records of the ranks a few ahead, and notes each pair as two
- * ranks; the mate array is written from them in one last pass.
+ * cache misses the CPU overlaps, and which carry the previous node's
+ * values in registers, so a path or a caterpillar does not make each
+ * node wait on the store of the one before; any other column takes child
+ * links and a depth-first pass, one dependent miss after another.  The
+ * bottom-up order packs each rank's top and bottom (or vertex) into one
+ * 64-bit record, so the find loop reads its vertices front to back,
+ * prefetches the node records of the ranks a few ahead, and notes each
+ * pair as two ranks; the mate array is written from them in one last
+ * pass.  A find halves its path, then points every link of the walk at
+ * the node where it stopped (path compression).  Halving and compression
+ * each cost O(log |T|) amortized per find without ranks (Tarjan & van
+ * Leeuwen, "Worst-case analysis of set union algorithms", JACM 1984);
+ * the compression walk revisits only the nodes the halving walk counted,
+ * so a find costs at most twice its counted steps, and it only moves a
+ * link further along its own path, so no link path ever grows.
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
  * calls both through ctypes; it checks the column types and lengths before
@@ -70,8 +79,8 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  *     negated.
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
  *     and on success vertex v is matched to mate[v], or free (0).
- * steps[2]: each step of a find is added to steps[0], each pair made to
- *     steps[1].
+ * steps[2]: each step of a find's halving walk is added to steps[0], each
+ *     pair made to steps[1].
  */
 int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
               const int64_t *tops, const int64_t *bots, int64_t n_bots,
@@ -100,21 +109,46 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
            scan puts each subtree's size into aux.  The forward scan meets
            every parent before its children, and each child, in id order,
            takes the next free preorder slot of its parent, kept in aux:
-           the depth-first pass's intervals, with children in file order. */
+           the depth-first pass's intervals, with children in file order.
+           On a path or a caterpillar a node's parent is mostly the node
+           scanned just before it, so both scans carry that node's values
+           in registers instead of reading back the store just made.  The
+           reverse scan owes the sizes of a run of siblings to their parent
+           q and adds them when the parent changes, or into q's own size
+           when the scan reaches q; node 1's size is n_nodes, so its sum is
+           never added. */
+        int32_t q = 0, owed = 0;
         for (i = n_nodes; i >= 2; i--) {
-            aux[i]++;
-            aux[node[i].parent] += aux[i];
+            int32_t p = node[i].parent, size = aux[i] + 1;
+            if (p != q) {
+                if (i == q)
+                    size += owed;
+                else
+                    aux[q] += owed;
+                q = p;
+                owed = 0;
+            }
+            owed += size;
+            aux[i] = size;
         }
         node[1].link = 1;
         node[1].head = (int32_t)n_nodes;
         aux[1] = 2;
+        /* the next free slot and the depth of node i - 1 */
+        int32_t free_slot = 2, depth = 0;
         for (i = 2; i <= n_nodes; i++) {
-            int32_t p = node[i].parent, size = aux[i], slot = aux[p];
+            int32_t p = node[i].parent, size = aux[i], slot;
+            if (p == i - 1) {
+                slot = free_slot;
+            } else {
+                slot = aux[p];
+                depth = node[p].depth;
+            }
             aux[p] = slot + size;
-            node[i].depth = node[p].depth + 1;
+            node[i].depth = ++depth;
             node[i].link = slot;
             node[i].head = slot + size - 1;
-            aux[i] = slot + 1;
+            aux[i] = free_slot = slot + 1;
         }
     } else {
         /* any other column: each node goes in front of its parent's list
@@ -238,7 +272,8 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
         int64_t lo = offsets ? offsets[(uint32_t)record - 1] : 0;
         int64_t hi = offsets ? offsets[(uint32_t)record] : 1;
         for (j = lo; j < hi; j++) {
-            u = offsets ? (int32_t)bots[j] : (int32_t)(uint32_t)record;
+            int32_t start = u = offsets ? (int32_t)bots[j] : (int32_t)(uint32_t)record;
+            int64_t before = count;
             /* u holds no free vertex and lies below the top: it never gets
                one again, so link it to its parent, later halve its path */
             while (!node[u].head && node[u].depth > depth) {
@@ -248,6 +283,15 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
                 u = w;
                 count++;
             }
+            /* then point every link of the walk at u, where it stopped: the
+               nodes between are empty for good.  A walk of one step left
+               its start linked to u already. */
+            if (count - before > 1)
+                for (w = start; node[w].link != u;) {
+                    int32_t up = node[w].link;
+                    node[w].link = u;
+                    w = up;
+                }
             if (node[u].head && (!best || node[u].head < best)) {
                 best = node[u].head;
                 at = u;

@@ -20,12 +20,17 @@ find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
 the tree's parent column and the vertex columns, all ``array('q')``, and
 returns the mate array and its number of pairs.  On a topological
 parent column (node 1 the root, every other node after its parent) the
-kernel reads the tree with two linear scans; on any other column it
-links each node's children itself and walks them depth first.  Until
+kernel reads the tree with two linear scans, which carry the node just
+scanned in registers for the child that follows it; on any other column
+it links each node's children itself and walks them depth first.  Until
 its last pass the mate array holds each rank's packed top and bottom
 (or vertex), so the find loop reads them front to back; a node holds at
-most one free vertex, by rank; the loop notes each pair as two ranks,
-and the last pass writes the mate array from them.
+most one free vertex, by rank; each find halves its path and then
+compresses it, pointing every link of the walk at the node where it
+stopped, so it costs at most twice its counted halving steps, which are
+``O(log |T|)`` amortized (Tarjan & van Leeuwen 1984); the loop notes
+each pair as two ranks, and the last pass writes the mate array from
+them.
 It refuses, with a nonzero code, whatever it cannot take as it is: an
 instance validation would reject, a list column, a node or vertex count
 of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
@@ -192,7 +197,8 @@ def solve(inst) -> tuple[int, array | None, int, int]:
     Code 0: the instance is well-formed, ``mate`` is the mate array of
     :func:`rdvmatch.matching._shoot_greedy`'s matching and ``pairs`` its
     number of pairs.  Any other code is a refusal, and ``mate`` is None.
-    The steps count every step of every find (0 when refused).
+    The steps count every step of every find's halving walk, not of the
+    compression walk after it (0 when refused).
     """
     tree = inst.tree
     parent, tops, bots, offsets = tree._parent, inst.tops, inst.bots, inst.offsets

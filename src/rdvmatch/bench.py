@@ -6,7 +6,9 @@ the reference greedy in the same order, and (at small sizes) its size
 against the exact search oracle.  ``bench_sweep`` times the delayed
 greedy across doubling instance sizes and emits CSV rows; growth ratios
 across doublings are the machine-independent way to see that run time
-tracks the vertex count, not the edge count.
+tracks the vertex count, not the edge count.  Each row also counts the
+minor page faults of a solve, a count that does not drift with the
+machine's speed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
 from .matching import delayed_greedy, greedy_reference, maximum_matching_oracle
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 NOT_MATERIALIZED = "not materialized"
+NOT_COUNTED = "not counted"  # minor faults where getrusage is missing
 
 # oracle edge counting is quadratic; skip it above this size
 EDGE_COUNT_LIMIT = 256
@@ -38,6 +46,7 @@ class BenchRecord:
     median_ns: int
     matching_size: int
     seed: int
+    minor_faults: int | str
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRecord)]
@@ -150,8 +159,11 @@ def bench_sweep(
     """Time delayed_greedy on 2**k vertices for k in ``exponents``.
 
     Wall-clock nanoseconds, median over ``repeats`` runs after one warmup;
-    generation and parsing stay outside the timed region.  Edge counts are
-    materialized through the oracle only at small sizes.
+    generation and parsing stay outside the timed region.  ``minor_faults``
+    is the median of each run's minor page faults (``ru_minflt`` of
+    ``resource.getrusage``), or :data:`NOT_COUNTED` where the platform has
+    no ``resource`` module.  Edge counts are materialized through the
+    oracle only at small sizes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -162,11 +174,14 @@ def bench_sweep(
         inst = _bench_instance(family, n, inst_seed)
         delayed_greedy(inst)  # warmup
         times: list[int] = []
+        faults: list[int] = []
         size = 0
         for _ in range(repeats):
+            f0 = _minor_faults()
             t0 = time.perf_counter_ns()
             matching = delayed_greedy(inst)
             times.append(time.perf_counter_ns() - t0)
+            faults.append(_minor_faults() - f0)
             size = len(matching)
         edges: int | str = (
             sum(map(len, oracle_adjacency(inst))) // 2
@@ -182,15 +197,21 @@ def bench_sweep(
                 median_ns=int(statistics.median(times)),
                 matching_size=size,
                 seed=inst_seed,
+                minor_faults=int(statistics.median(faults)) if resource else NOT_COUNTED,
             )
         )
     return records
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process so far (0 without ``resource``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
 def records_to_csv(records: list[BenchRecord], repeats: int) -> str:
     buf = _io.StringIO()
     buf.write(
-        f"# median wall-clock ns over {repeats} repeats; "
+        f"# median wall-clock ns and minor page faults over {repeats} repeats; "
         "timing excludes generation and parsing\n"
     )
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)

@@ -120,9 +120,15 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     is the vertex of rank ``best``.  A node deeper than the current top
     that holds no free vertex never gets one again, so it links to its
     parent (``link``), and a shot is a find with path halving that stops
-    at a node holding a free vertex or not deeper than the current top:
-    O(log |T|) amortized per ray, as path halving without ranks
-    guarantees.
+    at a node holding a free vertex or not deeper than the current top.
+    A second walk from the same start then points every link of the
+    first at the node where it stopped (path compression): the nodes in
+    between are empty for good.  Halving and compression each cost
+    O(log |T|) amortized per find without ranks (Tarjan & van Leeuwen,
+    JACM 1984); the compression walk revisits only the nodes the halving
+    walk stepped through, so a find costs at most twice its halving
+    steps, the ones the kernel counts, and it only moves a link further
+    along its own path, so no link path ever grows.
 
     The instance is validated first (:func:`checked_coordinates`), and the
     loop reads its columns and writes each pair into a mate array, which
@@ -145,13 +151,19 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
         best = rank  # every hit ranks earlier
         # one ray per bottom: a 1-tuple on a plain instance, else the
         # vertex's slice of the bottoms column
-        for u in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
+        for start in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
+            u = start
             while not head[u] and y[u] > depth:
                 # u stays empty for good: link it to its parent on the
                 # first visit, later halve the path through its link
                 w = link[u]
                 w = link[u] = (link[w] or w) if w else parent[u]
                 u = w
+            # then point every link of the walk at u, where it stopped:
+            # the nodes between are empty for good
+            w = start
+            while w != u and link[w] != u:
+                link[w], w = u, link[w]
             if 0 < head[u] < best:
                 best = head[u]
         if best < rank:

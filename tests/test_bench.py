@@ -1,5 +1,9 @@
+from unittest import mock
+
+from rdvmatch import bench
 from rdvmatch.bench import (
     CSV_FIELDS,
+    NOT_COUNTED,
     NOT_MATERIALIZED,
     bench_sweep,
     crosscheck,
@@ -134,6 +138,17 @@ class TestBenchSweep:
         records = bench_sweep("random", range(4, 7), repeats=2)
         assert [r.n for r in records] == [16, 32, 64]
         assert len(doubling_ratios(records)) == 2
+
+    def test_minor_faults_per_solve(self):
+        """A count of minor page faults per solve where ``resource``
+        exists, and a marker where it does not."""
+        expected = int if bench.resource else str
+        for record in bench_sweep("random", range(4, 6), repeats=3):
+            assert isinstance(record.minor_faults, expected)
+            assert expected is str or record.minor_faults >= 0
+        with mock.patch.object(bench, "resource", None):
+            records = bench_sweep("random", range(4, 5), repeats=1)
+        assert records[0].minor_faults == NOT_COUNTED
 
     def test_comb_family_is_edgeless(self):
         records = bench_sweep("comb", range(3, 5), repeats=1)
