@@ -254,10 +254,11 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
 #if defined(__GNUC__)
         /* the records ahead are known, so their reads can start early: the
            node records of the top and the bottoms 8 ranks ahead, and with
-           offsets the vertex's offsets 16 ranks ahead */
-        if (offsets && rank + 16 <= n)
+           offsets the vertex's offsets 16 ranks ahead; the guards add
+           in n's 64 bits, where rank + 16 could overflow an int32 */
+        if (offsets && (int64_t)rank + 16 <= n)
             __builtin_prefetch(&offsets[(uint32_t)mate[rank + 16] - 1]);
-        if (rank + 8 <= n) {
+        if ((int64_t)rank + 8 <= n) {
             uint64_t ahead = (uint64_t)mate[rank + 8];
             __builtin_prefetch(&node[ahead >> 32]);
             if (offsets)

@@ -123,8 +123,11 @@ def _load() -> tuple[ctypes.PyDLL | None, str | None]:
                 _build(command, path)
                 lib = ctypes.PyDLL(path)  # stays mapped once the file is gone
     except subprocess.CalledProcessError as exc:
-        detail = exc.stderr.decode(errors="replace").strip().splitlines()
-        return None, f"{' '.join(command)} failed: {detail[-1] if detail else exc}"
+        # the first error names the line at fault; the last line may only
+        # say that warnings were treated as errors
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        detail = next((line for line in lines if "error" in line), lines[-1] if lines else exc)
+        return None, f"{' '.join(command)} failed: {detail}"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"cannot build or load the kernel: {exc}"
     i64, ptr = ctypes.c_int64, ctypes.c_void_p

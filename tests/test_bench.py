@@ -1,5 +1,7 @@
 from unittest import mock
 
+import pytest
+
 from rdvmatch import bench
 from rdvmatch.bench import (
     CSV_FIELDS,
@@ -16,6 +18,9 @@ from rdvmatch.gen import GenConfig, gen_random
 from rdvmatch.matching import delayed_greedy
 
 from conftest import random_instance
+
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
 
 
 def k2():

@@ -4,6 +4,9 @@ from rdvmatch.cli import main
 from rdvmatch.gen import GenConfig, fixture_trampoline_instance, gen_random
 from rdvmatch.io import save_instance
 
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
+
 K2_TEXT = "tree 1\nparents 0\nvertices 2 1\nv 1 1\nv 1 1\n"
 
 

@@ -23,6 +23,9 @@ from rdvmatch.matching import delayed_greedy, delayed_greedy_delta
 
 from conftest import random_instance
 
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
+
 
 class TestValidate:
     def test_smallest_instance_is_valid(self):

@@ -28,6 +28,9 @@ from conftest import topological
 from test_acceptance import GROWTH_FAMILIES, _star
 from test_matching import adversarial_instances, chain_instance
 
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
+
 
 def edge_count(inst):
     return sum(len(a) for a in oracle_adjacency(inst)) // 2

@@ -15,6 +15,9 @@ from rdvmatch.io import InstanceFormatError, parse_instance, write_instance
 
 from conftest import random_instance
 
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
+
 K2_TEXT = """\
 tree 1
 parents 0

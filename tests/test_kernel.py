@@ -927,3 +927,16 @@ def test_failed_build_leaves_a_reason(private_source):
     fn, error = _kernel._load()
     assert fn is None and "failed" in error
     assert not list((private_source / "__pycache__").iterdir())
+
+
+@needs_kernel
+def test_failed_strict_build_names_the_warning(private_source, monkeypatch):
+    source = private_source / "_kernel.c"
+    lines = source.read_text().splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line.startswith("int rdv_solve("))
+    at = lines.index("{\n", start) + 1  # the first line of rdv_solve's body, 0-based
+    lines.insert(at, "    int unused;\n")
+    source.write_text("".join(lines))
+    monkeypatch.setattr(_kernel, "FLAGS", _kernel.FLAGS + ("-Wall", "-Wextra", "-Werror"))
+    fn, error = _kernel._load()
+    assert fn is None and f"_kernel.c:{at + 1}:" in error and "unused" in error, error

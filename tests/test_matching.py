@@ -1,8 +1,12 @@
 import random
+import shlex
+import shutil
+import sysconfig
 from array import array
 
 import pytest
 
+from rdvmatch import _kernel
 from rdvmatch.core import (
     HostTree,
     InvalidInstanceError,
@@ -35,6 +39,9 @@ from rdvmatch.matching import (
 )
 
 from conftest import random_instance
+
+# every test runs on the native route, then on the pure one: see conftest.route
+pytestmark = pytest.mark.usefixtures("route")
 
 
 def adjacency_of(edges, n):
@@ -296,6 +303,17 @@ def fifo_shoot_greedy(inst):
         else:
             head[top] = tail[top] = rank
     return Matching.from_mates(mate, size), appends
+
+
+def test_route_is_in_force(route):
+    """The pure runs see no kernel, and the native runs the one the import
+    built, which every machine with a C compiler builds."""
+    if route == "pure":
+        assert _kernel.kernel is None
+    else:
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")
+        if cc and shutil.which(cc[0]):
+            assert _kernel.kernel is not None, _kernel.LOAD_ERROR
 
 
 def test_no_node_ever_holds_two_free_vertices():
