@@ -219,10 +219,15 @@ def maximum_matching_oracle(
 ) -> tuple[int, Matching]:
     """Exact maximum matching size (plus one witness) by branch and bound.
 
-    Branches on the lowest-id vertex that still has a neighbor: leave it
-    unmatched, or match it to each neighbor in turn; prune whenever the
-    current size plus half the remaining vertices cannot beat the best.
-    Exponential worst case; refuses graphs above ``bound`` vertices.
+    Branches on a vertex v with the fewest live neighbors, matching it to
+    each of them in turn; vertices with no live neighbor leave the search
+    during the same scan.  Leaving v unmatched is never needed: if v is
+    free in a maximum matching M, its live neighbor u is matched to some
+    w (else M + uv would be larger), and M - uw + uv is a maximum
+    matching that covers v.  Karp and Sipser's degree-1 rule is the case
+    of one neighbor.  Prunes whenever the current size plus half the
+    remaining vertices cannot beat the best.  Exponential worst case;
+    refuses graphs above ``bound`` vertices.
     """
     n = len(adjacency) - 1
     if n > bound:
@@ -240,13 +245,17 @@ def maximum_matching_oracle(
         if size + (alive.bit_count() >> 1) <= best_size:
             return
         v = 0
+        fewest = n
         rest = alive
         while rest:
-            cand = (rest & -rest).bit_length() - 1
-            if masks[cand] & alive:
-                v = cand
-                break
-            rest &= rest - 1
+            low = rest & -rest
+            cand = low.bit_length() - 1
+            rest ^= low
+            degree = (masks[cand] & alive).bit_count()
+            if degree == 0:
+                alive ^= low
+            elif degree < fewest:
+                v, fewest = cand, degree
         if v == 0:
             if size > best_size:
                 best_size = size
@@ -259,7 +268,6 @@ def maximum_matching_oracle(
             stack_pairs.append((v, u))
             search(alive & ~((1 << v) | (1 << u)), size + 1)
             stack_pairs.pop()
-        search(alive & ~(1 << v), size)
 
     full = (1 << (n + 1)) - 2  # bits 1..n
     if n >= 1:

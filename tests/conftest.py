@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 
 from rdvmatch import _kernel
@@ -33,20 +35,27 @@ def topological(tree):
     )
 
 
+@contextmanager
+def pure_route(pure=True):
+    """Within the block, and when ``pure``, ``_kernel.kernel`` is None, as
+    on a machine without a compiler: the Python parser reads every text
+    and the entry points run the pure find loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        if pure:
+            patch.setattr(_kernel, "kernel", None)
+        yield
+
+
 @pytest.fixture(scope="module", params=["native", "pure"], ids=[pytest.HIDDEN_PARAM, "pure"])
 def route(request):
     """Run each test of a module that uses this fixture once per route.
 
     "native" leaves the kernel as the import built it, so every canonical
     text goes to the native tokenizer and every valid instance to the
-    native solve; its runs keep the tests' plain names.  "pure" sets
-    ``_kernel.kernel`` to None, as on a machine without a compiler, so
-    the Python parser reads every text and the entry points run the pure
-    find loop; its runs are named ``[pure]``.  Module scope, because
-    hypothesis refuses function-scoped fixtures on ``@given`` tests; the
-    kernel comes back when the module's pure runs end.
+    native solve; its runs keep the tests' plain names.  "pure" runs them
+    under ``pure_route``; its runs are named ``[pure]``.  Module scope,
+    because hypothesis refuses function-scoped fixtures on ``@given``
+    tests; the kernel comes back when the module's pure runs end.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        if request.param == "pure":
-            patch.setattr(_kernel, "kernel", None)
+    with pure_route(request.param == "pure"):
         yield request.param

@@ -9,7 +9,6 @@ the growth-ratio gate, whose threshold is fixed at 2.8x per doubling.
 import random
 import sys
 import tracemalloc
-from unittest import mock
 
 import pytest
 
@@ -51,6 +50,7 @@ from rdvmatch.matching import (
 from rdvmatch.io import _parse_pure, parse_instance, write_instance
 from rdvmatch.rayshoot import RayShootIndex
 
+from conftest import pure_route
 from test_matching import chain_instance
 
 needs_kernel = pytest.mark.skipif(
@@ -364,7 +364,7 @@ def test_c6c_peak_memory_per_vertex(route):
     text = write_instance(
         gen_random(GenConfig(seed=1, tree_nodes=n, n_vertices=n, max_branching=3))
     )
-    with mock.patch.object(_kernel, "kernel", None if route == "pure" else _kernel.kernel):
+    with pure_route(route == "pure"):
         tracemalloc.start()
         try:
             delayed_greedy(parse_instance(text))

@@ -17,9 +17,7 @@ import sys
 import sysconfig
 import tracemalloc
 from array import array
-from contextlib import nullcontext
 from itertools import product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +45,7 @@ from rdvmatch.matching import (
     rayshoot_greedy,
 )
 
-from conftest import random_instance, topological
+from conftest import pure_route, random_instance, topological
 from test_io import mutated_texts
 from test_matching import fast_loop_corpus, relabeled_cases, renumbered
 
@@ -57,14 +55,10 @@ needs_kernel = pytest.mark.skipif(
 ENTRIES = (delayed_greedy, delayed_greedy_delta)
 
 
-def _refuse(inst):
-    return _kernel.REFUSED, None, 0, 0
-
-
 def outcome(entry, inst, pure=False):
     """``entry(inst)`` as its ``to_text()``, or as the type and message of
-    what it raised; ``pure`` makes the kernel refuse every instance."""
-    with mock.patch.object(_kernel, "solve", _refuse) if pure else nullcontext():
+    what it raised; ``pure`` runs it on the pure route."""
+    with pure_route(pure):
         try:
             return entry(inst).to_text()
         except Exception as exc:
@@ -355,7 +349,7 @@ def test_pair_count_is_the_number_of_pairs(pure):
         ("no vertices, delta 2", RdvInstance(HostTree([0, 1]), [], 2)),
         ("comb", gen_comb(300, 3)),
     ]
-    with mock.patch.object(_kernel, "kernel", None) if pure else nullcontext():
+    with pure_route(pure):
         for name, inst in corpus:
             m = delayed_greedy_delta(inst)
             assert len(m) == len(m.edges()), name
@@ -826,7 +820,7 @@ def test_records_that_lie_under_true_counts_parse_like_python(text):
 
 
 def test_without_a_kernel_the_python_parser_reads_every_text():
-    with mock.patch.object(_kernel, "kernel", None):
+    with pure_route():
         for _, text, _ in PLANTED:
             assert_parses_like_python(text, native=False)
 

@@ -421,6 +421,42 @@ class TestMaximumMatchingOracle:
             assert witness == rebuilt and rebuilt == witness
             assert hash(witness) == hash(rebuilt) and len(rebuilt) == size
 
+    def test_equals_blossom_on_general_graphs(self):
+        """The search is exact on any graph, not only on RDV graphs: its
+        size equals networkx's blossom maximum on every labelled graph with
+        at most 5 vertices and on 300 seeded G(n, p) graphs with n <= 14,
+        the sparse ones with isolated vertices, and its witness is a
+        matching of that size made of the graph's edges."""
+        nx = pytest.importorskip("networkx")
+        graphs = []
+        for n in range(1, 6):
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            for bits in range(1 << len(pairs)):
+                graphs.append(
+                    (n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+                )
+        rng = random.Random(0x0AC1E)
+        isolated = 0
+        for _ in range(300):
+            n, p = rng.randint(1, 14), rng.choice((0.1, 0.2, 0.35, 0.5, 0.8))
+            edges = [
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
+            ]
+            isolated += len({v for pair in edges for v in pair}) < n
+            graphs.append((n, edges))
+        assert isolated >= 100
+        for n, edges in graphs:
+            g = nx.Graph(edges)
+            g.add_nodes_from(range(1, n + 1))
+            adj = adjacency_of(edges, n)
+            size, witness = maximum_matching_oracle(adj)
+            assert size == len(nx.max_weight_matching(g, maxcardinality=True)), (n, edges)
+            pairs = witness.edges()
+            ends = [v for pair in pairs for v in pair]
+            assert all(g.has_edge(i, j) for i, j in pairs), (n, edges)
+            assert len(ends) == len(set(ends)), (n, edges)
+            assert len(witness) == len(pairs) == size, (n, edges)
+
 
 class TestIsSimpleVertex:
     def test_isolated_vertex_is_simple(self):
