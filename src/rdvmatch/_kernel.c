@@ -13,7 +13,11 @@
  * the separator bits, so no token waits on the one before it, and each
  * token of 1 to 8 digits is converted from the 8-byte word that ends at
  * its last byte, one of 9 or 10 digits from two such words.  It is the
- * only reader of the records: a text it does not take is refused.
+ * only reader of the records: a text it does not take is refused.  The
+ * first call also splits the text at a line start near its middle, and
+ * the second scans the two parts at once, the first on a helper thread
+ * that exits before the call returns (chunked loading: Muehlbauer et al.,
+ * "Instant Loading for Main-Memory Databases", PVLDB 2013).
  *
  * rdv_solve is validation, bottom-up order and the find loop of
  * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
@@ -38,9 +42,9 @@
  * link further along its own path, so no link path ever grows.
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
- * calls both through ctypes; it checks the column types and lengths before
- * it passes a pointer, and it allocates every table, so the kernel
- * allocates nothing.
+ * calls both through ctypes, built with -pthread; it checks the column
+ * types and lengths before it passes a pointer, and it allocates every
+ * table, so the kernel allocates nothing but the helper thread.
  *
  * Each returns 0 when it takes its input.  Any other value refuses it, and
  * the caller runs the pure Python route, which names each fault.  So the
@@ -48,8 +52,16 @@
  * read otherwise; it may refuse more.
  */
 
+/* sched_getaffinity and CPU_COUNT, beyond C99 and POSIX */
+#define _GNU_SOURCE
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__linux__)
+#include <sched.h>
+#else
+#include <unistd.h>
+#endif
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
@@ -536,22 +548,22 @@ static int scan_parents(const char *at, const char *end, int64_t n_nodes,
     return i == n_nodes;
 }
 
-/* The block scan of the vertex section [at, end), with a newline before
-   at: n lines v t b_1 [b_2 ...]\n, the text's last byte a newline.  Each
-   line's first token must be exactly v, which is where the section's
-   non-digits that are not separators must lie, so they are n in all; no
-   token may be empty, and every other one is 1 to 10 digits.  Fills tops,
-   bots and offsets (or not, when NULL) and says whether it took the
-   section, with exactly n_bots bottoms. */
-static int scan_vertices(const char *at, const char *end, int64_t n,
-                         int64_t n_bots, int64_t *tops, int64_t *bots,
-                         int64_t *offsets)
+/* The block scan of the vertex lines [at, end), with a newline before at:
+   lines i..n-1 of the vertex section, v t b_1 [b_2 ...]\n each, whose
+   bottoms are k..n_bots-1, its last byte a newline.  Each line's first
+   token must be exactly v, which is where the part's non-digits that are
+   not separators must lie, so they are n - i in all; no token may be
+   empty, and every other one is 1 to 10 digits.  Fills tops[i..n-1],
+   bots[k..n_bots-1] and offsets[i+1..n] (or not, when NULL), and says
+   whether it took the lines, with exactly those bottoms.  It writes no
+   slot outside those ranges. */
+static int scan_vertices(const char *at, const char *end, int64_t i,
+                         int64_t n, int64_t k, int64_t n_bots, int64_t *tops,
+                         int64_t *bots, int64_t *offsets)
 {
-    int64_t i = 0, k = 0, base, last = -1;
+    int64_t base, last = -1;
     uint64_t starts = 1; /* the bytes that start a line */
     int role = 0;        /* of the next token: the v, the top, a bottom */
-    if (offsets)
-        offsets[0] = 0;
     for (base = 0; base < end - at; base += 64) {
         masks_t m = masks(at + base, end);
         uint64_t sep = m.space | m.newline;
@@ -592,6 +604,43 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
     return i == n && k == n_bots && last == end - at - 1;
 }
 
+/* Texts below this many bytes are filled on the calling thread alone.
+   Parsed back to back, texts gain from the split from about 64 KiB on;
+   but a parse after the process has idled also waits about 0.3 ms for
+   the helper's CPU to wake (2-vCPU virtual machine), so that texts below
+   about 1 MiB lose and larger ones break even or gain (BENCH_25.json,
+   parse_ms). */
+enum { SPLIT_BYTES = 1 << 20 };
+
+/* One part of the fill: the parents line [line, line_end) into
+   parent[1..n_nodes] unless parent is NULL, then the vertex lines
+   [at, end), which are lines i..n-1 with bottoms k..n_bots-1. */
+typedef struct {
+    const char *line, *line_end, *at, *end;
+    int64_t n_nodes, *parent, i, n, k, n_bots, *tops, *bots, *offsets;
+    int taken;
+} part_t;
+
+static void *fill_part(void *arg)
+{
+    part_t *p = arg;
+    p->taken = (!p->parent || scan_parents(p->line, p->line_end, p->n_nodes, p->parent))
+               && scan_vertices(p->at, p->end, p->i, p->n, p->k, p->n_bots, p->tops,
+                                p->bots, p->offsets);
+    return NULL;
+}
+
+/* Whether this process may run on one CPU only. */
+static int one_cpu(void)
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    return sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) == 1;
+#else
+    return sysconf(_SC_NPROCESSORS_ONLN) == 1;
+#endif
+}
+
 /*
  * text[len]: an instance in the canonical form of write_instance, and
  * nothing else:
@@ -605,29 +654,49 @@ static int scan_vertices(const char *at, const char *end, int64_t n,
  * white space, other spellings of integers (a sign, 11 digits or more) and
  * records too few or too many are all refused.
  *
- * head[4]: n_nodes, n, delta, n_bots.  The first call passes NULL for
- * every column and gets head filled in.  It reads the three header
- * integers and tokenizes nothing else: it counts the spaces on the
+ * head[7]: n_nodes, n, delta, n_bots, mid, i0, k0.  The first call passes
+ * NULL for every column and gets head filled in.  It reads the three
+ * header integers and tokenizes nothing else: it counts the spaces on the
  * parents line, which must equal N, and the spaces and newlines after the
  * vertices line.  The newlines must equal n, and spaces - newlines, one
  * per bottom, is n_bots, at least n.  So no count comes from the header
  * alone, and a text whose header lies is refused before anything is
- * allocated.  The second call passes the same text and head, and columns
- * sized from head: parent[n_nodes + 1], of which it fills slots 1..N and
- * sets slot 0 to 0, as rdvmatch.core.HostTree keeps it; tops[n];
- * bots[n_bots]; and offsets[n + 1], or NULL when delta == 1 and n_bots ==
- * n (every vertex has one bottom).  The block scan reads the parents line
- * and the vertex section 64 bytes at a time and decides: a text it does
- * not take is refused, so every text taken reads as the Python parser
- * reads it.  It refuses a bottom past bots[n_bots - 1] and refuses unless
- * it reads exactly n_bots of them; the byte counts are exact for
- * canonical text, so it fills every column.
+ * allocated.  It counts the vertex section in two pieces, split at the
+ * byte offset mid: the first line start at or after the byte where the
+ * parents line and the vertex lines before it make half of the bytes the
+ * second call scans.  The newlines before mid are i0 and the spaces there
+ * less those newlines are k0: on canonical text, the vertices and the
+ * bottoms before mid.
+ *
+ * The second call passes the same text and head, and columns sized from
+ * head: parent[n_nodes + 1], of which it fills slots 1..N and sets slot 0
+ * to 0, as rdvmatch.core.HostTree keeps it; tops[n]; bots[n_bots]; and
+ * offsets[n + 1], or NULL when delta == 1 and n_bots == n (every vertex
+ * has one bottom).  It fills them in two parts: the parents line and the
+ * vertex lines before mid, into vertices 0..i0-1 and bottoms 0..k0-1;
+ * and the lines from mid on, into the rest.  Above SPLIT_BYTES, when the
+ * process may run on more than one CPU and a thread can be started, a
+ * helper thread fills the first part while the caller fills the second;
+ * otherwise the caller fills both, through the same fill_part.  The call
+ * joins the helper before it returns.  The block scan reads each part 64
+ * bytes at a time and decides: a text it does not take is refused, so
+ * every text taken reads as the Python parser reads it.
+ *
+ * The split changes no column and no verdict.  Each part's checks are
+ * exact: it must read exactly its own lines and its own bottoms, with a
+ * v starting its first byte and a newline ending its last, and it writes
+ * no slot outside its own ranges.  Two parts that pass join at a line
+ * start into a vertex section that the whole scan would take, with the
+ * same values in the same slots; and a section the whole scan takes,
+ * split at a line start, gives each part exactly the lines and bottoms
+ * the first call counted for it.  So a text is taken split exactly when it
+ * is taken whole, into equal columns.
  */
 int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
               int64_t *tops, int64_t *bots, int64_t *offsets)
 {
     cursor_t c = {text, text + len}, line;
-    int64_t n_nodes, n, delta, spaces, newlines;
+    int64_t n_nodes, n, delta, spaces, newlines, s0, l0;
 
     /* the header lines, the parents line found by its newline */
     if (!literal(&c, "tree ") || !integer(&c, &n_nodes) || !literal(&c, "\n"))
@@ -642,25 +711,54 @@ int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
         return BAD_TEXT;
 
     if (!parent) {
+        /* how far into the vertex section half the scanned bytes end */
+        int64_t into = (c.end - c.at - (line.end - line.at)) / 2;
+        const char *mid = c.at;
         count_bytes(line.at, line.end, &spaces, &newlines);
         if (n_nodes < 1 || spaces != n_nodes)
             return BAD_TEXT;
-        count_bytes(c.at, c.end, &spaces, &newlines);
+        if (into > 0) {
+            mid = memchr(c.at + into - 1, '\n', (size_t)(c.end - c.at - into + 1));
+            mid = mid ? mid + 1 : c.end;
+        }
+        count_bytes(c.at, mid, &s0, &l0);
+        count_bytes(mid, c.end, &spaces, &newlines);
+        spaces += s0;
+        newlines += l0;
         if (n < 0 || newlines != n || spaces - newlines < n)
             return BAD_TEXT;
         head[0] = n_nodes;
         head[1] = n;
         head[2] = delta;
         head[3] = spaces - newlines;
+        head[4] = mid - text;
+        head[5] = l0;
+        head[6] = s0 - l0;
         return OK;
     }
 
-    if (n_nodes != head[0] || n != head[1] || !literal(&line, "parents"))
+    /* head[4..6] as the first call wrote them keep both parts' slots
+       inside the columns */
+    int64_t n_bots = head[3], mid = head[4], i0 = head[5], k0 = head[6];
+    if (n_nodes != head[0] || n != head[1] || !literal(&line, "parents")
+        || line.at == line.end || *line.at != ' ' || mid < c.at - text || mid > len
+        || i0 < 0 || i0 > n || k0 < 0 || k0 > n_bots)
         return BAD_TEXT;
     parent[0] = 0;
-    if (line.at < line.end && *line.at == ' '
-        && scan_parents(line.at + 1, line.end + 1, n_nodes, parent)
-        && scan_vertices(c.at, c.end, n, head[3], tops, bots, offsets))
-        return OK;
-    return BAD_TEXT;
+    if (offsets)
+        offsets[0] = 0;
+    part_t first = {.line = line.at + 1, .line_end = line.end + 1, .at = c.at,
+                    .end = text + mid, .n_nodes = n_nodes, .parent = parent,
+                    .n = i0, .n_bots = k0, .tops = tops, .bots = bots, .offsets = offsets};
+    part_t second = {.at = text + mid, .end = c.end, .i = i0, .n = n, .k = k0,
+                     .n_bots = n_bots, .tops = tops, .bots = bots, .offsets = offsets};
+    pthread_t helper;
+    int helped = len >= SPLIT_BYTES && !one_cpu()
+                 && pthread_create(&helper, NULL, fill_part, &first) == 0;
+    if (!helped)
+        fill_part(&first);
+    fill_part(&second);
+    if (helped)
+        pthread_join(helper, NULL);
+    return first.taken && second.taken ? OK : BAD_TEXT;
 }

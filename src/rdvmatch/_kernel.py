@@ -5,15 +5,20 @@
 columns, in two C calls over the ``str``'s own bytes, which an ASCII
 ``str`` hands out without a copy.  The first reads the three header
 integers and counts spaces and newlines, which size every column
-exactly; after the columns are allocated from those counts, the second
-checks every record as it fills them, 64 bytes at a time, and takes ids
-of 1 to 10 unsigned digits, every id below the solve's limit of
-2**31 - 1.  The parent column comes out as
-:class:`rdvmatch.core.HostTree` keeps it, slot 0 included, so the tree
-adopts it as it is.  The kernel refuses every other text, a signed or an
-11-digit id included, and :func:`rdvmatch.io.parse_instance` then runs
-the Python parser, so every instance and every format error is the
-Python parser's by construction.
+exactly, and picks a line start near the middle of the text where the
+second call splits it, with the vertices and bottoms before it.  After
+the columns are allocated from those counts, the second checks every
+record as it fills them, 64 bytes at a time, and takes ids of 1 to 10
+unsigned digits, every id below the solve's limit of 2**31 - 1.  From
+1 MiB of text on, where the process may run on more than one CPU, it
+fills the two parts at once, the first on a helper thread that it joins
+before it returns; each part checks its own lines exactly, so the
+columns and the texts taken are those of one scan.  The parent column
+comes out as :class:`rdvmatch.core.HostTree` keeps it, slot 0 included,
+so the tree adopts it as it is.  The kernel refuses every other text,
+a signed or an 11-digit id included, and
+:func:`rdvmatch.io.parse_instance` then runs the Python parser, so every
+instance and every format error is the Python parser's by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
@@ -38,7 +43,8 @@ points then run the pure route, so every matching and every error text
 is the pure route's by construction.
 
 Importing this module builds the kernel once per source and compiler:
-the platform's C compiler (``sysconfig``'s ``CC``) writes
+the platform's C compiler (``sysconfig``'s ``CC``), which must take
+``-pthread`` and provide POSIX threads, writes
 ``__pycache__/_kernel-<digest>.so`` next to this file, under a temporary
 name moved into place, so that concurrent imports never load a partial
 file.  Where that directory is not writable, the build goes to a
@@ -64,7 +70,7 @@ import tempfile
 from array import array
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 BUILD_TIMEOUT_S = 120
 
 REFUSED = -1  # the code of a refusal made before the kernel runs
@@ -180,11 +186,12 @@ def _parse_bytes(data, size: int) -> tuple[array, array, array, array | None, in
     """:func:`parse` of the ``size`` bytes at ``data``, any bytes: an
     address, or a buffer of them, that stays alive through the call; the
     kernel refuses non-ASCII."""
-    head = _zeros(4)
+    head = _zeros(7)
     if kernel.rdv_parse(data, size, _address(head), None, None, None, None):
         return None
-    # counts of bytes the text holds, never a bare header count
-    n_nodes, n, delta, n_bots = head
+    # counts of bytes the text holds, never a bare header count; the
+    # split of the vertex section follows them
+    n_nodes, n, delta, n_bots = head[:4]
     parents, tops, bots = _zeros(n_nodes + 1), _zeros(n), _zeros(n_bots)
     offsets = None if delta == 1 and n_bots == n else _zeros(n + 1)
     code = kernel.rdv_parse(

@@ -18,8 +18,10 @@ single spaces, ``\n`` line ends, ids of 1 to 10 unsigned decimal digits,
 header values of magnitude below 2**63, a final newline) and refuses
 every other text, which the Python parser (:func:`_parse_pure`) then
 reads: signed ids and ids of 11 or more digits among others.  The
-tokenizer reads the ``str`` in place, 64 bytes at a time, and the host
-tree adopts the parent column it fills.  Both build the same instance
+tokenizer reads the ``str`` in place, 64 bytes at a time, in two parts
+split at a line start, which a helper thread and the caller fill at once
+on a text of 1 MiB or more; the host tree adopts the parent column it
+fills.  Both build the same instance
 from every text the tokenizer takes, so every instance and every
 :class:`InstanceFormatError` is the Python parser's by construction.
 The Python parser reads the records in one walk, checking and

@@ -3,8 +3,9 @@
     python tests/kernel_builds.py [pytest arguments]
 
 Each variant of :data:`VARIANTS` builds ``src/rdvmatch/_kernel.c``
-through ``_kernel._load`` with the package's flags, the strict ones
-(``-std=c99 -pedantic -Wall -Wextra -Werror``) and its own:
+through ``_kernel._load`` with the package's flags (``-pthread`` among
+them), the strict ones (``-std=c99 -pedantic -Wall -Wextra -Werror``)
+and its own:
 
 * ``-O2``, the package's build as it is;
 * ``-O3``, which inlines and unrolls further, so that gcc's
@@ -20,7 +21,9 @@ cache.  In one fresh process per variant, the build is swapped in for
 ``_kernel.kernel`` and the kernel's tests run against it:
 ``tests/test_kernel.py``, which checks the solve against the pure route
 and the tokenizer against the Python parser (its byte-level fuzz feeds
-cut and byte-flipped texts in exactly sized buffers), and C6d of
+cut and byte-flipped texts in exactly sized buffers, and its split-fill
+tests feed texts large enough that the parse fills their two parts on
+two threads, where the process may run on more than one CPU), and C6d of
 ``tests/test_acceptance.py``, which bounds the find steps on five tree
 families up to n = 2^16.  The pytest arguments go to every variant's
 run.  A warning fails its build, and the run names the compiler's first
@@ -31,8 +34,10 @@ The interpreter is not instrumented, so the sanitized variant's process
 is started with ``LD_PRELOAD`` naming the compiler's ``libasan`` and
 ``libubsan``, ``ASAN_OPTIONS=detect_leaks=0`` (the interpreter keeps
 memory alive at exit) and ``PYTHONMALLOC=malloc`` (so that ASan sees
-every allocation).  The package itself reads none of these.  Needs gcc,
-or a compiler that takes gcc's flags and answers ``-print-file-name``.
+every allocation).  The package itself reads none of these.  No variant
+runs under ThreadSanitizer: ``libtsan`` preloaded into an uninstrumented
+CPython crashes it at start.  Needs gcc, or a compiler that takes gcc's
+flags and answers ``-print-file-name``.
 """
 
 import os

@@ -15,6 +15,7 @@ from rdvmatch.bench import (
 )
 from rdvmatch.core import HostTree, Matching, RdvInstance, VertexPath
 from rdvmatch.gen import GenConfig, gen_random
+from rdvmatch.io import parse_instance
 from rdvmatch.matching import delayed_greedy
 
 from conftest import random_instance
@@ -121,7 +122,7 @@ class TestBenchSweep:
         records = bench_sweep("dense", range(3, 5), repeats=3)
         assert len(records) == 2
         assert [r.n for r in records] == [8, 16]
-        assert all(r.median_ns > 0 for r in records)
+        assert all(r.median_ns > 0 and r.parse_ns > 0 for r in records)
         assert all(r.matching_size <= r.n // 2 for r in records)
         assert all(r.algo == "delayed" for r in records)
         csv_text = records_to_csv(records, repeats=3)
@@ -129,6 +130,21 @@ class TestBenchSweep:
         assert lines[0].startswith("#")
         assert lines[1] == ",".join(CSV_FIELDS)
         assert len(lines) == 4
+
+    def test_parse_ns_times_the_written_instance(self):
+        """``parse_ns`` times ``parse_instance`` on the written text of the
+        instance the row solves, after one warmup, as often as the solve."""
+        texts = []
+
+        def parse(text):
+            texts.append(text)
+            return parse_instance(text)
+
+        with mock.patch.object(bench, "parse_instance", parse):
+            (record,) = bench_sweep("comb", range(4, 5), repeats=3)
+        assert len(texts) == 4 and len(set(texts)) == 1
+        assert parse_instance(texts[0]) == bench._bench_instance("comb", 16, record.seed)
+        assert record.parse_ns > 0
 
     def test_edges_not_materialized_for_large_n(self):
         records = bench_sweep("dense", range(9, 10), repeats=1)

@@ -12,6 +12,7 @@ so each parse is compared with ``_parse_pure`` called directly.
 
 import ctypes
 import inspect
+import re
 import shutil
 import sys
 import sysconfig
@@ -29,6 +30,7 @@ from rdvmatch.core import (
     InvalidInstanceError,
     RdvInstance,
     VertexPath,
+    VertexSubtree,
     bottom_up_order,
     checked_coordinates,
     oracle_adjacency,
@@ -787,6 +789,116 @@ def test_native_parse_reads_the_str_in_place():
         tracemalloc.stop()
     column_bytes = sum(8 * len(c) for c in columns[:4] if c is not None)
     assert column_bytes < peak < column_bytes + len(text) // 2, (peak, column_bytes, len(text))
+
+
+# the text size from which the fill call scans its two parts at once, on
+# a helper thread and the caller's, where the process may run on more
+# than one CPU
+with open(_kernel.SOURCE) as _source:
+    SPLIT_BYTES = 1 << int(re.search(r"SPLIT_BYTES = 1 << (\d+)", _source.read()).group(1))
+
+
+def split_at(text):
+    """``(mid, i0, k0)`` of the count call, checked against the text: mid
+    is a line start of the vertex section, before which lie i0 vertex
+    lines and k0 bottoms."""
+    head = _kernel._zeros(7)
+    data = _kernel._as_utf8(text, None)
+    assert not _kernel.kernel.rdv_parse(data, len(text), _kernel._address(head), *[None] * 4)
+    mid, i0, k0 = head[4:]
+    start = len(text) - len(text.split("\n", 3)[3])
+    assert start <= mid <= len(text) and (mid == start or text[mid - 1] == "\n"), (start, mid)
+    assert i0 == text.count("\n", start, mid) and k0 == text.count(" ", start, mid) - i0
+    return mid, i0, k0
+
+
+def line_around(text, at):
+    """``(start, end)`` of the line that holds byte ``at``, newline
+    excluded."""
+    return text.rfind("\n", 0, at) + 1, text.index("\n", at)
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", SHAPES)
+def test_split_fill_reads_the_benchmark_shapes(shape):
+    """Written instances of the benchmark's shapes below and above the
+    size that splits the fill: the columns are the Python parser's, and
+    above it the split falls inside the vertex section."""
+    make = SHAPES[shape][1]
+    below, above = make(2**12), make(2**16)
+    assert len(write_instance(below)) < SPLIT_BYTES <= len(write_instance(above))
+    for inst in (below, above):
+        text = write_instance(inst)
+        _, i0, _ = split_at(text)
+        assert 0 < i0 < inst.n
+        assert_parses_like_python(text, native=True)
+        assert parse_instance(text) == inst
+
+
+def star_of_subtrees(n, delta=3):
+    """Nodes 2..10 under node 1, n * delta leaves under node 10, and n
+    vertices, each the subtree of node 10 and delta of its leaves: every
+    line has delta bottoms, and every id but the first ten parents has
+    two digits or more."""
+    leaves = range(11, 11 + n * delta)
+    tree = HostTree([0, 0] + [1] * 9 + [10] * len(leaves))
+    vertices = [VertexSubtree(10, tuple(leaves[delta * v : delta * (v + 1)])) for v in range(n)]
+    return RdvInstance(tree, vertices, delta)
+
+
+@needs_kernel
+def test_split_fill_offsets_cross_the_split():
+    """A delta = 3 text split between two lines of three bottoms: the
+    second part's offsets count on from the first part's bottoms."""
+    inst = star_of_subtrees(40000)
+    text = write_instance(inst)
+    assert len(text) >= SPLIT_BYTES
+    mid, i0, k0 = split_at(text)
+    before, at = line_around(text, mid - 1), line_around(text, mid)
+    assert text[before[0]:before[1]].count(" ") == text[at[0]:at[1]].count(" ") == 4
+    assert 0 < i0 < inst.n and k0 == 3 * i0
+    assert_parses_like_python(text, native=True)
+    parsed = parse_instance(text)
+    assert parsed == inst and parsed.offsets == array("q", range(0, 3 * inst.n + 1, 3))
+
+
+@needs_kernel
+def test_split_fill_with_a_parents_line_over_half_the_text():
+    """A parents line longer than the vertex section: the first part is
+    that line alone, and the second all the vertex lines."""
+    nodes = 200000
+    inst = RdvInstance(HostTree([0] + list(range(nodes))), [VertexPath(1, nodes)] * 50, 1)
+    text = write_instance(inst)
+    assert len(text) >= SPLIT_BYTES
+    assert split_at(text) == (len(text) - len(text.split("\n", 3)[3]), 0, 0)
+    assert_parses_like_python(text, native=True)
+    assert parse_instance(text) == inst
+
+
+# bytes planted in place of one byte, so that no line start moves: a
+# non-digit, a tab for a space and a sign for a leading digit
+FAULTS = {"x": str.isdigit, "\t": " ".__eq__, "-": str.isdigit}
+
+
+@needs_kernel
+@pytest.mark.parametrize("where", ["parents line", "line before mid", "line at mid", "last line"])
+@pytest.mark.parametrize("fault", FAULTS, ids=["letter", "tab", "sign"])
+def test_split_fill_refuses_a_fault_in_either_part(where, fault):
+    """A fault planted in either part of a split text refuses the whole
+    text, and the Python parser reads it, whatever the other part took."""
+    text = write_instance(star_of_subtrees(40000))
+    mid, _, _ = split_at(text)
+    at = {"parents line": text.index("\n") + 1, "line before mid": mid - 1,
+          "line at mid": mid, "last line": len(text) - 1}[where]
+    start, end = line_around(text, at)
+    # the last byte of the line that the fault may replace; a sign only
+    # the first digit of a token of two digits or more
+    spot = max(
+        i for i in range(start, end)
+        if FAULTS[fault](text[i]) and (fault != "-" or text[i - 1] == " " and text[i + 1].isdigit())
+    )
+    planted = text[:spot] + fault + text[spot + 1:]
+    assert_parses_like_python(planted, native=False)
 
 
 # texts whose header counts agree with the bytes the first call counts
