@@ -2,7 +2,7 @@
  * Native routes of rdvmatch, in plain C99 with no Python headers:
  *
  * rdv_parse reads the canonical instance text that rdvmatch.io's
- * write_instance writes into int64 columns, in two calls: the first
+ * write_instance writes into int32 columns, in two calls: the first
  * counts the text's structural bytes without tokenizing it, the caller
  * allocates the columns from those counts, and the second, the one pass
  * that checks every record, fills them.  The second scans the parents
@@ -12,16 +12,18 @@
  * target has it, else eight 8-byte words.  Token ends come from walking
  * the separator bits, so no token waits on the one before it, and each
  * token of 1 to 8 digits is converted from the 8-byte word that ends at
- * its last byte, one of 9 or 10 digits from two such words.  It is the
- * only reader of the records: a text it does not take is refused.  The
- * first call also splits the text at a line start near its middle, and
- * the second scans the two parts at once, the first on a helper thread
- * that exits before the call returns (chunked loading: Muehlbauer et al.,
- * "Instant Loading for Main-Memory Databases", PVLDB 2013).
+ * its last byte, one of 9 or 10 digits from two such words, and refused
+ * above INT32_MAX.  It is the only reader of the records: a text it does
+ * not take is refused.  The first call also splits the text at a line
+ * start near its middle, and the second scans the two parts at once, the
+ * first on a helper thread that exits before the call returns (chunked
+ * loading: Muehlbauer et al., "Instant Loading for Main-Memory
+ * Databases", PVLDB 2013).
  *
  * rdv_solve is validation, bottom-up order and the find loop of
- * rdvmatch.matching._shoot_greedy, in one call over int64 columns: the
+ * rdvmatch.matching._shoot_greedy, in one call over int32 columns: the
  * host tree as its parent column alone, and the instance's vertex columns.
+ * Every id and count it takes fits in 32 bits, as do its work tables.
  * Its tree pass gives every node its depth and preorder interval.  On a
  * topological column (node 1 the root, every other node after its
  * parent), which every generator writes, that is two linear scans whose
@@ -43,8 +45,9 @@
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
  * calls both through ctypes, built with -pthread; it checks the column
- * types and lengths before it passes a pointer, and it allocates every
- * table, so the kernel allocates nothing but the helper thread.
+ * types (array('i'), the int32_t of every column here) and lengths before
+ * it passes a pointer, and it allocates every table, so the kernel
+ * allocates nothing but the helper thread.
  *
  * Each returns 0 when it takes its input.  Any other value refuses it, and
  * the caller runs the pure Python route, which names each fault.  So the
@@ -78,6 +81,10 @@ typedef struct {
 enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
 
 /*
+ * Every column is int32_t, the type of the node records and the ranks,
+ * so no id is narrowed on its way in; the caller keeps n_nodes and n
+ * below INT32_MAX.
+ *
  * n_nodes, parent[n_nodes + 1]:
  *     rdvmatch.core.HostTree's parent column (parent[0] == 0; 0 marks a
  *     root).  Where the depth-first pass needs them, the kernel links each
@@ -94,9 +101,9 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  * steps[2]: each step of a find's halving walk is added to steps[0], each
  *     pair made to steps[1].
  */
-int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
-              const int64_t *tops, const int64_t *bots, int64_t n_bots,
-              const int64_t *offsets, int64_t delta, node_t *node,
+int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
+              const int32_t *tops, const int32_t *bots, int64_t n_bots,
+              const int32_t *offsets, int64_t delta, node_t *node,
               int32_t *aux, int32_t *order, int32_t *nxt, int64_t *mate,
               int64_t *steps)
 {
@@ -108,10 +115,10 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
        column is one tree whose every node is reachable, with no cycle. */
     int topological = n_nodes >= 1 && parent[1] == 0;
     for (i = 1; i <= n_nodes; i++) {
-        int64_t p = parent[i];
+        int32_t p = parent[i];
         if (p < 0 || p > n_nodes)
             return BAD_TREE;
-        node[i].parent = (int32_t)p;
+        node[i].parent = p;
         topological &= i == 1 || (p >= 1 && p < i);
     }
 
@@ -215,12 +222,12 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
         return BAD_VERTEX;
     int32_t deepest = 0;
     for (i = 0; i < n; i++) {
-        int64_t t = tops[i];
+        int32_t t = tops[i];
         int64_t lo = offsets ? offsets[i] : i, hi = offsets ? offsets[i + 1] : i + 1;
         if (t < 1 || t > n_nodes || hi > n_bots || hi <= lo || hi - lo > delta)
             return BAD_VERTEX;
         for (j = lo; j < hi; j++) {
-            int64_t b = bots[j];
+            int32_t b = bots[j];
             if (b < 1 || b > n_nodes || node[b].link < node[t].link
                 || node[b].link > node[t].head)
                 return BAD_VERTEX;
@@ -285,7 +292,7 @@ int rdv_solve(int64_t n_nodes, const int64_t *parent, int64_t n,
         int64_t lo = offsets ? offsets[(uint32_t)record - 1] : 0;
         int64_t hi = offsets ? offsets[(uint32_t)record] : 1;
         for (j = lo; j < hi; j++) {
-            int32_t start = u = offsets ? (int32_t)bots[j] : (int32_t)(uint32_t)record;
+            int32_t start = u = offsets ? bots[j] : (int32_t)(uint32_t)record;
             int64_t before = count;
             /* u holds no free vertex and lies below the top: it never gets
                one again, so link it to its parent, later halve its path */
@@ -381,8 +388,8 @@ static void count_bytes(const char *at, const char *end, int64_t *spaces,
     for (; end - at >= BLOCK; at += BLOCK) {
         unsigned char bs = 0, bl = 0;
         for (i = 0; i < BLOCK; i++) {
-            bs += at[i] == ' ';
-            bl += at[i] == '\n';
+            bs = (unsigned char)(bs + (at[i] == ' '));
+            bl = (unsigned char)(bl + (at[i] == '\n'));
         }
         s += bs;
         l += bl;
@@ -434,12 +441,15 @@ static int64_t long_digits(const char *last, int64_t count)
 }
 
 /* The value of the count digits that end at last, or -1 unless count is
-   1 to 10. */
-static inline int64_t token(const char *last, int64_t count)
+   1 to 10 and the value fits an int32_t.  Only 10 digits can pass
+   INT32_MAX, so the 1 to 8 digit path has no compare. */
+static inline int32_t token(const char *last, int64_t count)
 {
+    int64_t value;
     if ((uint64_t)(count - 1) < 8)
-        return digits(last, count);
-    return (uint64_t)(count - 9) < 2 ? long_digits(last, count) : -1;
+        return (int32_t)digits(last, count);
+    value = (uint64_t)(count - 9) < 2 ? long_digits(last, count) : -1;
+    return value <= INT32_MAX ? (int32_t)value : -1;
 }
 
 /* The index of the lowest set bit of x, which is not 0. */
@@ -529,7 +539,7 @@ static inline masks_t masks(const char *at, const char *end)
    parent[1..n_nodes] and says whether it took the section: n_nodes
    tokens of 1 to 10 digits. */
 static int scan_parents(const char *at, const char *end, int64_t n_nodes,
-                        int64_t *parent)
+                        int32_t *parent)
 {
     int64_t i = 0, base, last = -1;
     for (base = 0; base < end - at; base += 64) {
@@ -538,7 +548,8 @@ static int scan_parents(const char *at, const char *end, int64_t n_nodes,
         if (m.nondigit & ~sep)
             return 0;
         for (; sep; sep &= sep - 1) {
-            int64_t p = base + lowest_bit(sep), value = token(at + p - 1, p - last - 1);
+            int64_t p = base + lowest_bit(sep);
+            int32_t value = token(at + p - 1, p - last - 1);
             if (value < 0 || i == n_nodes)
                 return 0;
             parent[++i] = value;
@@ -558,8 +569,8 @@ static int scan_parents(const char *at, const char *end, int64_t n_nodes,
    whether it took the lines, with exactly those bottoms.  It writes no
    slot outside those ranges. */
 static int scan_vertices(const char *at, const char *end, int64_t i,
-                         int64_t n, int64_t k, int64_t n_bots, int64_t *tops,
-                         int64_t *bots, int64_t *offsets)
+                         int64_t n, int64_t k, int64_t n_bots, int32_t *tops,
+                         int32_t *bots, int32_t *offsets)
 {
     int64_t base, last = -1;
     uint64_t starts = 1; /* the bytes that start a line */
@@ -573,7 +584,8 @@ static int scan_vertices(const char *at, const char *end, int64_t i,
         starts = m.newline >> 63;
         for (; sep; sep &= sep - 1) {
             int bit = lowest_bit(sep);
-            int64_t p = base + bit, count = p - last - 1, value;
+            int64_t p = base + bit, count = p - last - 1;
+            int32_t value;
             if (role == 2) {
                 value = token(at + p - 1, count);
                 if (value < 0 || k == n_bots)
@@ -581,7 +593,7 @@ static int scan_vertices(const char *at, const char *end, int64_t i,
                 bots[k++] = value;
                 if (m.newline >> bit & 1) {
                     if (offsets)
-                        offsets[i + 1] = k;
+                        offsets[i + 1] = (int32_t)k;
                     i++;
                     role = 0;
                 }
@@ -617,7 +629,8 @@ enum { SPLIT_BYTES = 1 << 20 };
    [at, end), which are lines i..n-1 with bottoms k..n_bots-1. */
 typedef struct {
     const char *line, *line_end, *at, *end;
-    int64_t n_nodes, *parent, i, n, k, n_bots, *tops, *bots, *offsets;
+    int64_t n_nodes, i, n, k, n_bots;
+    int32_t *parent, *tops, *bots, *offsets;
     int taken;
 } part_t;
 
@@ -650,29 +663,31 @@ static int one_cpu(void)
  *
  * with N >= 1, n >= 0, single spaces and a final newline.  The three
  * header values are integers as integer() reads them, and every other
- * value is 1 to 10 unsigned decimal digits.  Comments, blank lines, other
- * white space, other spellings of integers (a sign, 11 digits or more) and
- * records too few or too many are all refused.
+ * value is 1 to 10 unsigned decimal digits of value at most INT32_MAX,
+ * as the int32 columns hold it.  Comments, blank lines, other white
+ * space, other spellings of integers (a sign, 11 digits or more), larger
+ * values and records too few or too many are all refused.
  *
  * head[7]: n_nodes, n, delta, n_bots, mid, i0, k0.  The first call passes
  * NULL for every column and gets head filled in.  It reads the three
  * header integers and tokenizes nothing else: it counts the spaces on the
  * parents line, which must equal N, and the spaces and newlines after the
  * vertices line.  The newlines must equal n, and spaces - newlines, one
- * per bottom, is n_bots, at least n.  So no count comes from the header
- * alone, and a text whose header lies is refused before anything is
- * allocated.  It counts the vertex section in two pieces, split at the
- * byte offset mid: the first line start at or after the byte where the
- * parents line and the vertex lines before it make half of the bytes the
- * second call scans.  The newlines before mid are i0 and the spaces there
- * less those newlines are k0: on canonical text, the vertices and the
- * bottoms before mid.
+ * per bottom, is n_bots, at least n.  N and n_bots must stay below
+ * INT32_MAX, so that every count and offset fits an int32 column.  So no
+ * count comes from the header alone, and a text whose header lies is
+ * refused before anything is allocated.  It counts the vertex section in
+ * two pieces, split at the byte offset mid: the first line start at or
+ * after the byte where the parents line and the vertex lines before it
+ * make half of the bytes the second call scans.  The newlines before mid
+ * are i0 and the spaces there less those newlines are k0: on canonical
+ * text, the vertices and the bottoms before mid.
  *
- * The second call passes the same text and head, and columns sized from
- * head: parent[n_nodes + 1], of which it fills slots 1..N and sets slot 0
- * to 0, as rdvmatch.core.HostTree keeps it; tops[n]; bots[n_bots]; and
- * offsets[n + 1], or NULL when delta == 1 and n_bots == n (every vertex
- * has one bottom).  It fills them in two parts: the parents line and the
+ * The second call passes the same text and head, and int32 columns sized
+ * from head: parent[n_nodes + 1], of which it fills slots 1..N and sets
+ * slot 0 to 0, as rdvmatch.core.HostTree keeps it; tops[n]; bots[n_bots];
+ * and offsets[n + 1], or NULL when delta == 1 and n_bots == n (every
+ * vertex has one bottom).  It fills them in two parts: the parents line and the
  * vertex lines before mid, into vertices 0..i0-1 and bottoms 0..k0-1;
  * and the lines from mid on, into the rest.  Above SPLIT_BYTES, when the
  * process may run on more than one CPU and a thread can be started, a
@@ -692,8 +707,8 @@ static int one_cpu(void)
  * the first call counted for it.  So a text is taken split exactly when it
  * is taken whole, into equal columns.
  */
-int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
-              int64_t *tops, int64_t *bots, int64_t *offsets)
+int rdv_parse(const char *text, int64_t len, int64_t *head, int32_t *parent,
+              int32_t *tops, int32_t *bots, int32_t *offsets)
 {
     cursor_t c = {text, text + len}, line;
     int64_t n_nodes, n, delta, spaces, newlines, s0, l0;
@@ -715,7 +730,7 @@ int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
         int64_t into = (c.end - c.at - (line.end - line.at)) / 2;
         const char *mid = c.at;
         count_bytes(line.at, line.end, &spaces, &newlines);
-        if (n_nodes < 1 || spaces != n_nodes)
+        if (n_nodes < 1 || n_nodes >= INT32_MAX || spaces != n_nodes)
             return BAD_TEXT;
         if (into > 0) {
             mid = memchr(c.at + into - 1, '\n', (size_t)(c.end - c.at - into + 1));
@@ -725,7 +740,8 @@ int rdv_parse(const char *text, int64_t len, int64_t *head, int64_t *parent,
         count_bytes(mid, c.end, &spaces, &newlines);
         spaces += s0;
         newlines += l0;
-        if (n < 0 || newlines != n || spaces - newlines < n)
+        if (n < 0 || newlines != n || spaces - newlines < n
+            || spaces - newlines >= INT32_MAX)
             return BAD_TEXT;
         head[0] = n_nodes;
         head[1] = n;

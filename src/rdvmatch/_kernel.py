@@ -1,7 +1,7 @@
 """The native routes: ``_kernel.c``, built at import and called through ctypes.
 
 :func:`parse` reads instance text in the canonical form that
-:func:`rdvmatch.io.write_instance` writes straight into ``array('q')``
+:func:`rdvmatch.io.write_instance` writes straight into ``array('i')``
 columns, in two C calls over the ``str``'s own bytes, which an ASCII
 ``str`` hands out without a copy.  The first reads the three header
 integers and counts spaces and newlines, which size every column
@@ -9,21 +9,25 @@ exactly, and picks a line start near the middle of the text where the
 second call splits it, with the vertices and bottoms before it.  After
 the columns are allocated from those counts, the second checks every
 record as it fills them, 64 bytes at a time, and takes ids of 1 to 10
-unsigned digits, every id below the solve's limit of 2**31 - 1.  From
-1 MiB of text on, where the process may run on more than one CPU, it
-fills the two parts at once, the first on a helper thread that it joins
-before it returns; each part checks its own lines exactly, so the
-columns and the texts taken are those of one scan.  The parent column
-comes out as :class:`rdvmatch.core.HostTree` keeps it, slot 0 included,
-so the tree adopts it as it is.  The kernel refuses every other text,
-a signed or an 11-digit id included, and
-:func:`rdvmatch.io.parse_instance` then runs the Python parser, so every
-instance and every format error is the Python parser's by construction.
+unsigned digits up to 2**31 - 1, the largest an int32 column holds; the
+first refuses a text of 2**31 - 1 nodes or bottoms or more, before
+anything is allocated.  From 1 MiB of text on, where the process may
+run on more than one CPU, it fills the two parts at once, the first on
+a helper thread that it joins before it returns; each part checks its
+own lines exactly, so the columns and the texts taken are those of one
+scan.  The parent column comes out as :class:`rdvmatch.core.HostTree`
+keeps it, slot 0 included, so the tree adopts it as it is.  The kernel
+refuses every other text, a signed id, an 11-digit one or one above
+2**31 - 1 included, and :func:`rdvmatch.io.parse_instance` then runs the
+Python parser, so every instance and every format error is the Python
+parser's by construction.
 
 :func:`solve` validates an instance, orders its vertices and runs the
 find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
-the tree's parent column and the vertex columns, all ``array('q')``, and
-returns the mate array and its number of pairs.  On a topological
+the tree's parent column and the vertex columns, all ``array('i')``, and
+returns the mate array and its number of pairs.  A column that is an
+array of another integer typecode is narrowed with one copy, and the
+instance refused when a value does not fit in 32 bits.  On a topological
 parent column (node 1 the root, every other node after its parent) the
 kernel reads the tree with two linear scans, which carry the node just
 scanned in registers for the child that follows it; on any other column
@@ -35,12 +39,11 @@ compresses it, pointing every link of the walk at the node where it
 stopped, so it costs at most twice its counted halving steps, which are
 ``O(log |T|)`` amortized (Tarjan & van Leeuwen 1984); the loop notes
 each pair as two ranks, and the last pass writes the mate array from
-them.
-It refuses, with a nonzero code, whatever it cannot take as it is: an
-instance validation would reject, a list column, a node or vertex count
-of 2**31 - 1 or more, or columns whose lengths disagree.  The entry
-points then run the pure route, so every matching and every error text
-is the pure route's by construction.
+them.  It refuses, with a nonzero code, whatever it cannot take as it
+is: an instance validation would reject, a list column (an id beyond 32
+bits), a node or vertex count of 2**31 - 1 or more, or columns whose
+lengths disagree.  The entry points then run the pure route, so every
+matching and every error text is the pure route's by construction.
 
 Importing this module builds the kernel once per source and compiler:
 the platform's C compiler (``sysconfig``'s ``CC``), which must take
@@ -52,10 +55,12 @@ temporary directory and is loaded from there.  Without a compiler, or
 when the build fails, :data:`kernel` is None, :data:`LOAD_ERROR` says
 why, and every parse and solve takes the pure route.
 
-Every column and table the kernel writes is allocated here, as
-``array('q')`` or ``array('i')``, so tracemalloc counts it.  The solve
-works in, per node, one 16-byte record ``{parent, depth, link, head}``
-plus one int32, and per vertex two int32.
+Every column and table the kernel writes is allocated here, so
+tracemalloc counts it: the parsed columns and the work tables as
+``array('i')``, and the mate array, which holds 64-bit records until the
+solve's last pass, as ``array('q')``.  The solve works in, per node, one
+16-byte record ``{parent, depth, link, head}`` plus one int32 (``aux``),
+both in one allocation, and per vertex two int32 and the int64 mate.
 """
 
 from __future__ import annotations
@@ -152,8 +157,18 @@ _as_utf8.argtypes = [ctypes.py_object, ctypes.c_void_p]
 _as_utf8.restype = ctypes.c_void_p
 
 
-def _int64_column(col) -> bool:
-    return isinstance(col, array) and col.typecode == "q"
+def _int32_column(col) -> array | None:
+    """``col`` as an ``array('i')``: itself, or one copy of an array of
+    another integer typecode; None for a list, a non-integer array or a
+    value that does not fit in 32 bits."""
+    if not isinstance(col, array):
+        return None
+    if col.typecode == "i":
+        return col
+    try:
+        return array("i", col)
+    except (OverflowError, TypeError):
+        return None
 
 
 def _address(col: array) -> int:
@@ -161,15 +176,17 @@ def _address(col: array) -> int:
 
 
 def _zeros(size: int) -> array:
-    return array("q", [0]) * size
+    return array("i", [0]) * size
 
 
 def parse(text: str) -> tuple[array, array, array, array | None, int] | None:
     """``(parents, tops, bots, offsets, delta)`` of canonical instance
-    text, laid out as :meth:`rdvmatch.core.HostTree.from_column` and
+    text, as ``array('i')`` columns laid out as
+    :meth:`rdvmatch.core.HostTree.from_column` and
     :meth:`rdvmatch.core.RdvInstance.from_columns` take them, or None when
     the kernel refuses the text or is not built.  The kernel takes ids of
-    1 to 10 unsigned digits, and header values of magnitude below 2**63.
+    1 to 10 unsigned digits up to 2**31 - 1, and header values of
+    magnitude below 2**63.
 
     ``parents`` has one slot per node and slot 0, which holds 0 (0 marks
     the root), and ``offsets`` is None exactly when ``delta == 1`` and
@@ -186,7 +203,7 @@ def _parse_bytes(data, size: int) -> tuple[array, array, array, array | None, in
     """:func:`parse` of the ``size`` bytes at ``data``, any bytes: an
     address, or a buffer of them, that stays alive through the call; the
     kernel refuses non-ASCII."""
-    head = _zeros(7)
+    head = array("q", [0]) * 7
     if kernel.rdv_parse(data, size, _address(head), None, None, None, None):
         return None
     # counts of bytes the text holds, never a bare header count; the
@@ -211,27 +228,33 @@ def solve(inst) -> tuple[int, array | None, int, int]:
     compression walk after it (0 when refused).
     """
     tree = inst.tree
-    parent, tops, bots, offsets = tree._parent, inst.tops, inst.bots, inst.offsets
-    n_nodes, n, delta = tree.node_count, len(tops), inst.delta
-    columns = (parent, tops, bots) + (() if offsets is None else (offsets,))
+    n_nodes, n, delta = tree.node_count, len(inst.tops), inst.delta
+    if kernel is None or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT):
+        return REFUSED, None, 0, 0
+    parent, tops, bots = map(_int32_column, (tree._parent, inst.tops, inst.bots))
+    offsets = None if inst.offsets is None else _int32_column(inst.offsets)
     if (
-        kernel is None
-        or not all(map(_int64_column, columns))
-        or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT)
+        parent is None
+        or tops is None
+        or bots is None
+        or (offsets is None) != (inst.offsets is None)
         or len(parent) != n_nodes + 1
         or (offsets is not None and len(offsets) != n + 1)
     ):
         return REFUSED, None, 0, 0
-    node = array("i", [0]) * (_NODE_FIELDS * (n_nodes + 1))
-    aux = array("i", [0]) * (n_nodes + 1)
-    order = array("i", [0]) * (n + 1)
-    nxt = array("i", [0]) * (n + 1)
+    # node's records, then aux, in one allocation: freed as two, the tables
+    # of perfbench's comb solve were trimmed off the top of glibc's heap in
+    # some heap layouts, and the next solve faulted them in again
+    node = _zeros((_NODE_FIELDS + 1) * (n_nodes + 1))
+    aux = _address(node) + 4 * _NODE_FIELDS * (n_nodes + 1)
+    order = _zeros(n + 1)
+    nxt = _zeros(n + 1)
     mate = array("q", [0]) * (n + 1)
     steps = array("q", [0, 0])  # find steps, pairs
     code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
-        _address(node), _address(aux), _address(order), _address(nxt),
+        _address(node), aux, _address(order), _address(nxt),
         _address(mate), _address(steps),
     )
     return code, (mate if code == 0 else None), steps[1], steps[0]

@@ -10,7 +10,8 @@ stored as a top node plus one bottom node per path.
 Node ids and vertex ids are 1-based dense integers throughout.  Per-node
 tables have length ``node_count + 1`` with slot 0 unused; per-vertex
 columns are 0-based, so vertex v sits at index ``v - 1``.  Both are flat
-integer columns (``array('q')``) from parse to solve.
+32-bit integer columns from parse to solve: ``array('i')``, or lists
+when an id does not fit in 32 bits.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ IntColumn = Union["array[int]", list]
 
 
 def _column(values: Sequence[int]) -> IntColumn:
-    """``values`` as an ``array('q')``, or as a list when one of them does
-    not fit in 64 bits (validation then reports it as out of range)."""
+    """``values`` as an ``array('i')``, or as a list when one of them does
+    not fit in 32 bits (validation then reports it as out of range)."""
     try:
-        return array("q", values)
+        return array("i", values)
     except OverflowError:
         return list(values)
 
@@ -64,21 +65,23 @@ class HostTree:
     cycles are representable) so that :func:`validate_instance` can report
     violations instead of crashing.
 
-    The tree is its parent column ``_parent`` (slot 0 holds 0), all that
-    the native solve reads.  ``_csr`` holds the children in compressed
-    sparse row form, ``(first, kids)``, built from it on first read and
-    kept: the children of node p are ``kids[first[p]:first[p + 1]]``,
-    group 0 holds the roots, and one last group the nodes whose parent is
-    out of range.  The package's per-node loops index these tables
-    directly instead of calling :meth:`parent` and :meth:`children`,
-    which build a value per call.
+    ``parents`` may be any sequence of ints, an array of any integer
+    typecode included.  The tree is its parent column ``_parent`` (slot 0
+    holds 0), all that the native solve reads: an ``array('i')``, or a
+    list when a parent does not fit in 32 bits.  ``_csr`` holds the
+    children in compressed sparse row form, ``(first, kids)``, built from
+    it on first read and kept: the children of node p are
+    ``kids[first[p]:first[p + 1]]``, group 0 holds the roots, and one
+    last group the nodes whose parent is out of range.  The package's
+    per-node loops index these tables directly instead of calling
+    :meth:`parent` and :meth:`children`, which build a value per call.
     """
 
     def __init__(self, parents: Sequence[int]):
         self.node_count = len(parents)
-        par = array("q", [0])
+        par = array("i", [0])
         try:
-            par.extend(parents)
+            par += array("i", parents)
         except OverflowError:
             par = [0, *parents]
         self._parent = par
@@ -101,9 +104,9 @@ class HostTree:
         for p in keys:
             sizes[p] += 1
         sizes[0] -= 1  # slot 0 is no node
-        first = array("q", accumulate(sizes, initial=0))
+        first = array("i", accumulate(sizes, initial=0))
         # a stable sort keeps file order within each group
-        return first, array("q", sorted(range(1, n + 1), key=keys.__getitem__))
+        return first, array("i", sorted(range(1, n + 1), key=keys.__getitem__))
 
     def parent(self, node: int) -> int:
         """Parent id of ``node``, or 0 for a root."""
@@ -148,8 +151,8 @@ class RdvInstance:
     bottom nodes of all vertices in vertex order.  A plain instance has
     one bottom per vertex and no ``offsets``; any other has ``offsets``
     (length ``n + 1``), and the bottoms of vertex v are
-    ``bots[offsets[v - 1]:offsets[v]]``.  The columns are ``array('q')``,
-    or lists when an id does not fit in 64 bits.
+    ``bots[offsets[v - 1]:offsets[v]]``.  Each column is an
+    ``array('i')``, or a list when an id does not fit in 32 bits.
 
     ``RdvInstance(tree, vertices, delta)`` builds the columns from
     :class:`VertexPath` and :class:`VertexSubtree` tuples;
@@ -174,7 +177,7 @@ class RdvInstance:
             sizes = list(map(len, groups))
         offsets = None
         if delta != 1 or not (sizes is None or sizes.count(1) == len(sizes)):
-            offsets = array("q", accumulate(sizes or repeat(1, len(tops)), initial=0))
+            offsets = _column(list(accumulate(sizes or repeat(1, len(tops)), initial=0)))
         self._init(tree, _column(tops), _column(bots), offsets, delta)
 
     @classmethod
@@ -183,7 +186,7 @@ class RdvInstance:
         tree: HostTree,
         tops: IntColumn,
         bots: IntColumn,
-        offsets: array | None,
+        offsets: IntColumn | None,
         delta: int,
     ) -> RdvInstance:
         """Instance over columns laid out as the class describes; they

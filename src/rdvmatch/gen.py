@@ -10,10 +10,9 @@ ordered greedy provably underperforms.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 
-from .core import HostTree, RdvInstance, Vertex, VertexSubtree
+from .core import HostTree, RdvInstance, Vertex, VertexSubtree, _column
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,7 @@ def gen_random(cfg: GenConfig) -> RdvInstance:
 
     if cfg.delta == 1:
         tops, bottoms = _plain_vertices(tree, cfg.n_vertices, rng)
-        return RdvInstance.from_columns(
-            tree, array("q", tops), array("q", bottoms), None, 1
-        )
+        return RdvInstance.from_columns(tree, _column(tops), _column(bottoms), None, 1)
     descendants = _descendant_lists(tree)
     tops = []
     bottoms = []
@@ -78,7 +75,7 @@ def gen_random(cfg: GenConfig) -> RdvInstance:
         bottoms += picked
         offsets.append(len(bottoms))
     return RdvInstance.from_columns(
-        tree, array("q", tops), array("q", bottoms), array("q", offsets), cfg.delta
+        tree, _column(tops), _column(bottoms), _column(offsets), cfg.delta
     )
 
 
@@ -149,8 +146,8 @@ def gen_dense(n: int) -> RdvInstance:
     if n < 2:
         raise ValueError(f"dense family needs n >= 2, got {n}")
     parents = [0] + list(range(1, n))
-    tops = array("q", [(i + 1) // 2 for i in range(1, n + 1)])
-    bottoms = array("q", range(1, n + 1))
+    tops = _column([(i + 1) // 2 for i in range(1, n + 1)])
+    bottoms = _column(range(1, n + 1))
     return RdvInstance.from_columns(HostTree(parents), tops, bottoms, None, 1)
 
 
@@ -173,11 +170,11 @@ def gen_comb(n: int, seed: int) -> RdvInstance:
         parents[2 * i - 1] = 2 * i - 1  # l_i hangs below s_i
     ids = list(range(n))
     random.Random(seed).shuffle(ids)
-    tops = array("q", [0]) * n
+    tops = [0] * n
     for i, v in enumerate(ids, start=1):
         tops[v] = 2 * i - 1
-    bottoms = array("q", [t + 1 for t in tops])
-    return RdvInstance.from_columns(HostTree(parents), tops, bottoms, None, 1)
+    bottoms = [t + 1 for t in tops]
+    return RdvInstance.from_columns(HostTree(parents), _column(tops), _column(bottoms), None, 1)
 
 
 def intervals_to_rdv(intervals: list[tuple[int, int]]) -> RdvInstance:
@@ -204,9 +201,7 @@ def intervals_to_rdv(intervals: list[tuple[int, int]]) -> RdvInstance:
             bottom[k] = rank
     n_nodes = max(2 * len(intervals), 1)
     parents = [0] + list(range(1, n_nodes))
-    return RdvInstance.from_columns(
-        HostTree(parents), array("q", top), array("q", bottom), None, 1
-    )
+    return RdvInstance.from_columns(HostTree(parents), _column(top), _column(bottom), None, 1)
 
 
 def fixture_trampoline() -> tuple[list[list[int]], list[int]]:

@@ -14,18 +14,20 @@ to identical bytes.
 
 Parsing runs the native tokenizer of :mod:`rdvmatch._kernel` first.  It
 takes only the canonical form :func:`write_instance` writes (ASCII,
-single spaces, ``\n`` line ends, ids of 1 to 10 unsigned decimal digits,
-header values of magnitude below 2**63, a final newline) and refuses
-every other text, which the Python parser (:func:`_parse_pure`) then
-reads: signed ids and ids of 11 or more digits among others.  The
-tokenizer reads the ``str`` in place, 64 bytes at a time, in two parts
-split at a line start, which a helper thread and the caller fill at once
-on a text of 1 MiB or more; the host tree adopts the parent column it
-fills.  Both build the same instance
-from every text the tokenizer takes, so every instance and every
-:class:`InstanceFormatError` is the Python parser's by construction.
-The Python parser reads the records in one walk, checking and
-converting each as it goes, and names the line of the first fault.
+single spaces, ``\n`` line ends, ids of 1 to 10 unsigned decimal digits
+up to 2**31 - 1, header values of magnitude below 2**63, a final
+newline) and refuses every other text, which the Python parser
+(:func:`_parse_pure`) then reads: signed ids, ids of 11 or more digits
+and ids above 2**31 - 1 among others.  Both give ``array('i')`` columns,
+or a list for a column with an id beyond 32 bits.  The tokenizer reads
+the ``str`` in place, 64 bytes at a time, in two parts split at a line
+start, which a helper thread and the caller fill at once on a text of
+1 MiB or more; the host tree adopts the parent column it fills.  Both
+build the same instance from every text the tokenizer takes, so every
+instance and every :class:`InstanceFormatError` is the Python parser's
+by construction.  The Python parser reads the records in one walk,
+checking and converting each as it goes, and names the line of the
+first fault.
 """
 
 from __future__ import annotations
@@ -149,8 +151,7 @@ def _parse_pure(text: str) -> RdvInstance:
         offsets.append(len(bots))
     if len(tops) < n:
         raise _end_of_file(lines, "v")
-    if delta == 1 and len(bots) == n:
-        offsets = None
+    offsets = None if delta == 1 and len(bots) == n else _column(offsets)
     return RdvInstance.from_columns(
         HostTree(parents), _column(tops), _column(bots), offsets, delta
     )

@@ -4,8 +4,9 @@
 
 Each variant of :data:`VARIANTS` builds ``src/rdvmatch/_kernel.c``
 through ``_kernel._load`` with the package's flags (``-pthread`` among
-them), the strict ones (``-std=c99 -pedantic -Wall -Wextra -Werror``)
-and its own:
+them), the strict ones (``-std=c99 -pedantic -Wall -Wextra -Wconversion
+-Werror``; ``-Wconversion`` makes an implicit narrowing, such as an
+int64 value stored into an int32 column, a build failure) and its own:
 
 * ``-O2``, the package's build as it is;
 * ``-O3``, which inlines and unrolls further, so that gcc's
@@ -49,7 +50,7 @@ import sysconfig
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STRICT = ("-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror")
+STRICT = ("-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wconversion", "-Werror")
 # the flags each variant adds to the package's -O2 and the strict ones
 VARIANTS = {
     "-O2": (),

@@ -344,11 +344,30 @@ def test_c6d_find_step_growth_ratio():
     )
 
 
-# bytes per vertex of the tracemalloc peak below, at n = 2^13: 61 on the
-# native route, where the kernel's columns and tables set it, and 175 on
-# the pure route (no C compiler), where the Python solve sets it just over
-# the Python parser's own peak of 174; the instance model of tuples per
-# vertex and per node measured 490.  One bound serves both routes
+def _peak_bytes_per_vertex(delta, pure):
+    """tracemalloc peak of parsing and solving a random instance at
+    n = 2^13, per vertex, on the pure route or the native one."""
+    n = 1 << 13
+    text = write_instance(
+        gen_random(
+            GenConfig(seed=1, tree_nodes=n, n_vertices=n, max_branching=3, delta=delta)
+        )
+    )
+    with pure_route(pure):
+        tracemalloc.start()
+        try:
+            delayed_greedy_delta(parse_instance(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / n
+
+
+# bytes per vertex of the peak at delta 1: 48 on the native route, where
+# the kernel's 32-bit columns and tables set it, and 174 on the pure route
+# (no C compiler), where the Python parser's own peak sets it; the
+# instance model of tuples per vertex and per node measured 490.  One
+# bound serves both routes
 PEAK_BYTES_PER_VERTEX = 245
 
 
@@ -360,25 +379,28 @@ def test_c6c_peak_memory_per_vertex(route):
     The machine-independent memory gate next to C6 and C6b: tracemalloc
     counts the bytes Python allocates, whatever the machine's speed.
     """
-    n = 1 << 13
-    text = write_instance(
-        gen_random(GenConfig(seed=1, tree_nodes=n, n_vertices=n, max_branching=3))
-    )
-    with pure_route(route == "pure"):
-        tracemalloc.start()
-        try:
-            delayed_greedy(parse_instance(text))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    per_vertex = peak / n
+    per_vertex = _peak_bytes_per_vertex(1, route == "pure")
     assert per_vertex <= PEAK_BYTES_PER_VERTEX, (
-        f"{route}: peak {peak} bytes is {per_vertex:.0f} per vertex, "
-        f"over {PEAK_BYTES_PER_VERTEX}"
+        f"{route}: {per_vertex:.1f} bytes per vertex, over {PEAK_BYTES_PER_VERTEX}"
     )
-    print(
-        f"ACCEPTANCE C6c peak memory: PASS ({route}, {per_vertex:.0f} bytes/vertex at n = {n})"
-    )
+    print(f"ACCEPTANCE C6c peak memory: PASS ({route}, {per_vertex:.0f} bytes/vertex)")
+
+
+# the native route's own bound per delta: 32-bit columns and tables
+# measured 48.3 and 53.1 bytes per vertex, 64-bit columns 60.3 and 69.9
+NATIVE_PEAK_BYTES_PER_VERTEX = {1: 52, 2: 58}
+
+
+@needs_kernel
+@pytest.mark.parametrize("delta", NATIVE_PEAK_BYTES_PER_VERTEX)
+def test_c6e_native_peak_memory_per_vertex(delta):
+    """C6e: on the native route, parsing and solving a random instance
+    at n = 2^13 peaks at <= 52 bytes per vertex at delta 1 and <= 58 at
+    delta 2, which 32-bit columns keep and 64-bit ones do not."""
+    bound = NATIVE_PEAK_BYTES_PER_VERTEX[delta]
+    per_vertex = _peak_bytes_per_vertex(delta, pure=False)
+    assert per_vertex <= bound, f"delta {delta}: {per_vertex:.1f} bytes per vertex, over {bound}"
+    print(f"ACCEPTANCE C6e native peak memory: PASS (delta {delta}, {per_vertex:.1f} B/vertex)")
 
 
 def test_c7_bottom_up_peeling_is_simple():

@@ -384,3 +384,13 @@ class TestColumns:
         odd = HostTree([0, 7, -1, 1])
         assert odd.children(1) == (4,)
         assert odd.roots() == [1]
+
+    def test_tree_builds_from_an_array_of_any_typecode(self):
+        """The parent column is an ``array('i')`` whatever integer array
+        it was built from, and a list once a parent does not fit in 32
+        bits."""
+        for typecode in "bBhHiIlLqQ":
+            tree = HostTree(array(typecode, [0, 1, 1, 2]))
+            assert tree == HostTree([0, 1, 1, 2]) and tree._parent.typecode == "i", typecode
+        wide = HostTree(array("q", [0, 1, 2**31]))
+        assert wide._parent == [0, 0, 1, 2**31] and wide.parents() == (0, 1, 2**31)

@@ -274,6 +274,30 @@ def test_ids_beyond_int64_parse_and_are_reported():
     assert write_instance(inst) == f"tree 2\nparents 0 {big}\nvertices 1 2\nv {big} 1 2\n"
 
 
+@pytest.mark.parametrize("big", [2**31 - 2, 2**31 - 1, 2**31, 2**32, 9_999_999_999])
+def test_ids_at_the_32_bit_edge_parse_and_are_reported(big):
+    """An id as a parent, a top and a bottom: a column is an
+    ``array('i')`` while its ids fit in 32 bits and a list once one does
+    not, each column on its own, and validation names every id out of
+    range."""
+    kind = "i" if big < 2**31 else "list"
+    text = f"tree 2\nparents 0 {big}\nvertices 2 1\nv {big} 1\nv 1 {big}\n"
+    inst = parse_instance(text)
+    columns = (inst.tree._parent, inst.tops, inst.bots)
+    assert [getattr(c, "typecode", "list") for c in columns] == [kind] * 3
+    assert inst.vertices == (VertexPath(big, 1), VertexPath(1, big))
+    assert validate_instance(inst) == [
+        f"node 2: parent {big} out of range 1..2",
+        f"vertex 1: node id {big} out of range",
+        f"vertex 2: node id {big} out of range",
+    ]
+    assert write_instance(inst) == text
+    inst = parse_instance(f"tree 1\nparents 0\nvertices 1 2\nv 1 1 {big}\n")
+    columns = (inst.tree._parent, inst.tops, inst.bots, inst.offsets)
+    assert [getattr(c, "typecode", "list") for c in columns] == ["i", "i", kind, "i"]
+    assert validate_instance(inst) == [f"vertex 1: node id {big} out of range"]
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_texts())
 def test_checked_coordinates_raises_exactly_on_violations(text):

@@ -483,6 +483,53 @@ def test_entry_point_errors_keep_their_precedence(pure):
     assert outcome(delayed_greedy, bad, pure) == (InvalidInstanceError, str(exc.value))
 
 
+def foreign_instance(inst, planted=None):
+    """``inst`` rebuilt by hand over ``array('q')`` copies of its columns;
+    ``planted`` names one column (parent, tops, bots or offsets) whose
+    middle entry becomes 2^31."""
+    columns = {
+        "parent": inst.tree._parent, "tops": inst.tops, "bots": inst.bots, "offsets": inst.offsets
+    }
+    wide = {name: None if c is None else array("q", c) for name, c in columns.items()}
+    if planted:
+        wide[planted][len(wide[planted]) // 2] = 2**31
+    return RdvInstance.from_columns(
+        HostTree.from_column(wide["parent"]), wide["tops"], wide["bots"], wide["offsets"],
+        inst.delta,
+    )
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "make", [make for _, make in SHAPES.values()] + [_random(3)], ids=[*SHAPES, "delta3"]
+)
+def test_foreign_64_bit_columns_solve_natively(make):
+    """Columns built as ``array('q')`` are narrowed once to ``array('i')``
+    and keep the native route: its mates, pairs and find steps are the
+    pure loop's, on the benchmark's shapes and at delta 3."""
+    inst = make(300)
+    foreign = foreign_instance(inst)
+    assert {c.typecode for c in (foreign.tree._parent, foreign.tops, foreign.bots)} == {"q"}
+    code, mate, pairs, steps = _kernel.solve(foreign)
+    assert code == 0
+    assert (mate, pairs, steps) == pure_solve(foreign) == pure_solve(inst)
+    for entry in ENTRIES:
+        assert outcome(entry, foreign) == outcome(entry, inst, pure=True), entry.__name__
+
+
+@needs_kernel
+@pytest.mark.parametrize("column", ["parent", "tops", "bots", "offsets"])
+def test_foreign_columns_past_32_bits_take_the_pure_route(column):
+    """An ``array('q')`` column that holds 2^31 does not narrow: the
+    kernel refuses the instance, and the entry points give the pure
+    route's result or error."""
+    foreign = foreign_instance(_random(2)(300), column)
+    assert _kernel.solve(foreign)[0] == _kernel.REFUSED
+    assert validate_instance(foreign)
+    for entry in ENTRIES:
+        assert outcome(entry, foreign) == outcome(entry, foreign, pure=True), entry.__name__
+
+
 def parse_outcome(parse, text):
     """``parse(text)`` as what an equal parse must match: the instance,
     its parent column and the type of every column (``offsets`` None or
@@ -535,16 +582,53 @@ def test_native_parse_takes_every_written_instance():
     assert _parse_pure(text) == ends
 
 
+# ids on both sides of 2^31 - 1, the largest an int32 column holds, and
+# the largest of 10 digits
+EDGE_IDS = (2**31 - 2, 2**31 - 1, 2**31, 2**32, 9_999_999_999)
+
+
+@needs_kernel
+@pytest.mark.parametrize("big", EDGE_IDS)
+@pytest.mark.parametrize("where", ["parent", "top", "bottom"])
+def test_ids_at_the_32_bit_edge_parse_like_python(where, big):
+    """An id at the 32-bit edge as a parent, a top or a bottom: the scan
+    takes it exactly when it fits in 32 bits, both parsers give its column
+    the same type, ``array('i')`` or a list, validation names it, and the
+    entry points answer as on the pure route."""
+    text = {
+        "parent": f"tree 3\nparents 0 1 {big}\nvertices 1 1\nv 1 2\n",
+        "top": f"tree 3\nparents 0 1 1\nvertices 1 1\nv {big} 2\n",
+        "bottom": f"tree 3\nparents 0 1 1\nvertices 1 1\nv 1 {big}\n",
+    }[where]
+    fits = big < 2**31
+    assert_parses_like_python(text, native=fits)
+    inst = parse_instance(text)
+    column = {"parent": inst.tree._parent, "top": inst.tops, "bottom": inst.bots}[where]
+    assert getattr(column, "typecode", list) == ("i" if fits else list)
+    fault = {"parent": f"node 3: parent {big} out of range 1..3"}.get(
+        where, f"vertex 1: node id {big} out of range"
+    )
+    assert validate_instance(inst) == [fault]
+    for entry in ENTRIES:
+        assert outcome(entry, inst) == outcome(entry, inst, pure=True), entry.__name__
+
+
 # integers at the edges of the integer readers: digit strings of 1 to 20
-# digits, 10^k - 1 and 10^k, and 2^63 - 1 and 2^63, each with and
-# without '-'
+# digits, 10^k - 1 and 10^k, 2^31 - 1, 2^31 and 2^32, and 2^63 - 1 and
+# 2^63, each with and without '-'
 EDGE_INTEGERS = [
     sign + str(value)
     for value in [int(("1234567890" * 2)[:count]) for count in range(1, 21)]
     + [10**k + d for k in range(1, 19) for d in (-1, 0)]
-    + [2**63 - 1, 2**63]
+    + [2**31 - 1, 2**31, 2**32, 2**63 - 1, 2**63]
     for sign in ("", "-")
 ]
+
+
+def fits_the_scan(integer):
+    """Whether the block scan takes ``integer`` as an id: 1 to 10 unsigned
+    digits of value at most 2^31 - 1, the largest an int32 column holds."""
+    return integer.isdigit() and len(integer) <= 10 and int(integer) < 2**31
 
 
 def integer_edge_texts():
@@ -556,9 +640,11 @@ def integer_edge_texts():
     record.  A gap of one byte on the parents line (a trailing space) and
     of 0 or 2 in the record (no final newline, a trailing space) is
     refused whatever the integer; every other gap holds one more integer
-    of 7s.  The block scan takes unsigned integers of up to 10 digits."""
+    of 7s.  The block scan takes unsigned integers of up to 10 digits
+    that fit in 32 bits: a 10-digit one exactly when it is at most
+    2^31 - 1."""
     for integer in EDGE_INTEGERS:
-        taken = integer.isdigit() and len(integer) <= 10
+        taken = fits_the_scan(integer)
         yield f"tree 1\nparents {integer}\nvertices 1 1\nv 1 1\n", taken
         for gap in range(10):
             tail = " " + "7" * (gap - 1) if gap else ""
@@ -572,6 +658,8 @@ def integer_edge_texts():
 
 @needs_kernel
 def test_integer_reader_at_its_edges():
+    # 10-digit values on both sides of 2^31 - 1
+    assert {fits_the_scan(i) for i in EDGE_INTEGERS if len(i) == 10} == {True, False}
     for text, taken in integer_edge_texts():
         assert_parses_like_python(text, native=taken)
         assert check_tokenizer(text.encode()) == taken, text
@@ -668,13 +756,15 @@ def test_three_block_text_cut_at_every_byte_parses_like_python():
 
 
 @needs_kernel
-@pytest.mark.parametrize("planted", ["-5", "12345678901", "1234567890"])
+@pytest.mark.parametrize(
+    "planted", ["-5", "12345678901", "1234567890", "2147483647", "2147483648"]
+)
 def test_only_unsigned_ids_of_up_to_10_digits_are_taken(planted):
     """An id planted first and last in each section of a three-block
-    text: the block scan takes a 10-digit one and refuses a signed or an
-    11-digit one, which the Python parser then reads, whatever the scan
-    wrote before it stopped."""
-    taken = planted.isdigit() and len(planted) <= 10
+    text: the block scan takes a 10-digit one up to 2^31 - 1 and refuses
+    a signed one, an 11-digit one or 2^31, which the Python parser then
+    reads, whatever the scan wrote before it stopped."""
+    taken = fits_the_scan(planted)
     head, parents, counts, vertices = THREE_BLOCKS.split("\n", 3)
     first, *middle, last = parents.split(" ")[1:]
     lines = vertices.split("\n")[:-1]
@@ -787,7 +877,7 @@ def test_native_parse_reads_the_str_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    column_bytes = sum(8 * len(c) for c in columns[:4] if c is not None)
+    column_bytes = sum(c.itemsize * len(c) for c in columns[:4] if c is not None)
     assert column_bytes < peak < column_bytes + len(text) // 2, (peak, column_bytes, len(text))
 
 
@@ -802,7 +892,7 @@ def split_at(text):
     """``(mid, i0, k0)`` of the count call, checked against the text: mid
     is a line start of the vertex section, before which lie i0 vertex
     lines and k0 bottoms."""
-    head = _kernel._zeros(7)
+    head = array("q", [0]) * 7
     data = _kernel._as_utf8(text, None)
     assert not _kernel.kernel.rdv_parse(data, len(text), _kernel._address(head), *[None] * 4)
     mid, i0, k0 = head[4:]
