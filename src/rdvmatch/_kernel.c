@@ -31,6 +31,14 @@
  * values in registers, so a path or a caterpillar does not make each
  * node wait on the store of the one before; any other column takes child
  * links and a depth-first pass, one dependent miss after another.  The
+ * vertex checks read each vertex's node records, and the bottom-up order,
+ * a counting sort on top depth, writes each vertex's rank slots.  Where
+ * neighbouring vertices have tops far apart in depth, as on a comb whose
+ * vertex ids permute its spine, both are random accesses, one per vertex;
+ * a sample of 64 pairs decides that once per solve, and then both loops
+ * prefetch the addresses of the vertex 16 ahead (prefetching the known
+ * targets of a partitioning scatter: Chen, Ailamaki, Gibbons & Mowry,
+ * "Improving Hash Join Performance through Prefetching", ICDE 2004).  The
  * bottom-up order packs each rank's top and bottom (or vertex) into one
  * 64-bit record, so the find loop reads its vertices front to back,
  * prefetches the node records of the ranks a few ahead, and notes each
@@ -42,6 +50,9 @@
  * the compression walk revisits only the nodes the halving walk counted,
  * so a find costs at most twice its counted steps, and it only moves a
  * link further along its own path, so no link path ever grows.
+ *
+ * Every prefetch is a gcc builtin, compiled only under __GNUC__, so a
+ * portable build has none.
  *
  * rdvmatch/_kernel.py compiles this file when the package is imported and
  * calls both through ctypes, built with -pthread; it checks the column
@@ -80,6 +91,163 @@ typedef struct {
 
 enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
 
+/* How far ahead the vertex checks and the order's scatter prefetch, in
+   vertices; and the sample of scattered: SAMPLE pairs, each far when its
+   tops lie more than FAR levels apart. */
+enum { AHEAD = 16, SAMPLE = 64, FAR = 16 };
+
+/* rdv_solve calls one of two copies of order_vertices, each its own
+   function with the body inlined, so that neither loop tests whether to
+   prefetch (always_inline: gcc 12 at -O2 left a plain inline body out of
+   line, and both copies called it).  They and rdv_solve start at 64-byte
+   boundaries, so that code added or removed elsewhere in this file does
+   not move their loops across cache lines: timings of a few percent moved
+   with code layout alone.  Without this alignment, or with every
+   function, loop and jump aligned by -falign-*=64 flags instead, a first
+   version read dense's perfbench match 1-3% slower than the parent, and
+   with it 1% faster (BENCH_27.json, layout). */
+#if defined(__GNUC__)
+#define INLINE inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
+#define ALIGNED __attribute__((aligned(64)))
+#else
+#define INLINE inline
+#define NOINLINE
+#define ALIGNED
+#endif
+
+/* Whether the bottom-up order scatters the vertex columns: whether at
+   least half of SAMPLE evenly spaced pairs of neighbouring vertices
+   (k, k + 1) have tops more than FAR levels apart.  Then neighbouring
+   vertices read node records far apart and take ranks far apart, as on a
+   comb, whose vertex ids permute its spine.  Below 2 * SAMPLE vertices the
+   pairs would overlap, and the answer is no.  It reads tops the vertex
+   checks have not seen yet, so a top out of range makes its pair near;
+   depths are below INT32_MAX, and their gap is taken in 64 bits. */
+static int scattered(int64_t n_nodes, int64_t n, const int32_t *tops,
+                     const node_t *node)
+{
+    int64_t i, step = n / SAMPLE, far = 0;
+    if (n < 2 * SAMPLE)
+        return 0;
+    for (i = 0; i < SAMPLE; i++) {
+        int32_t s = tops[i * step], t = tops[i * step + 1];
+        if ((int64_t)(uint32_t)s <= n_nodes && (int64_t)(uint32_t)t <= n_nodes) {
+            int64_t gap = (int64_t)node[s].depth - node[t].depth;
+            far += gap > FAR || gap < -FAR;
+        }
+    }
+    return far >= SAMPLE / 2;
+}
+
+/* The vertex checks and the bottom-up order of rdv_solve; 0 when a vertex
+   is refused.  With ahead set, each check prefetches the node records of
+   the vertex AHEAD places on: its top, and without offsets its bottom,
+   each range-checked before its address is formed (with offsets, the
+   bottoms would come from offsets entries not checked yet, so none is
+   prefetched).  And the scatter prefetches for writing the order and
+   mate slots that the vertex AHEAD places on will take. */
+static INLINE int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
+                                 const int32_t *bots, int64_t n_bots,
+                                 const int32_t *offsets, int64_t delta,
+                                 const node_t *node, int32_t *aux, int32_t *order,
+                                 int32_t *nxt, int64_t *mate, int ahead)
+{
+    int64_t i, j;
+
+    /* ids in range, 1..delta bottoms each, every top an ancestor-or-self
+       of each of its bottoms.  Offsets rise by at least one per vertex and
+       never pass n_bots, so each slice lies inside bots.  nxt[v] takes the
+       depth of v's top. */
+    int32_t deepest = 0;
+    for (i = 0; i < n; i++) {
+#if defined(__GNUC__)
+        if (ahead && i + AHEAD < n) {
+            int32_t t = tops[i + AHEAD];
+            if ((int64_t)(uint32_t)t <= n_nodes)
+                __builtin_prefetch(&node[t]);
+            if (!offsets) {
+                int32_t b = bots[i + AHEAD];
+                if ((int64_t)(uint32_t)b <= n_nodes)
+                    __builtin_prefetch(&node[b]);
+            }
+        }
+#else
+        (void)ahead;
+#endif
+        int32_t t = tops[i];
+        int64_t lo = offsets ? offsets[i] : i, hi = offsets ? offsets[i + 1] : i + 1;
+        if (t < 1 || t > n_nodes || hi > n_bots || hi <= lo || hi - lo > delta)
+            return 0;
+        for (j = lo; j < hi; j++) {
+            int32_t b = bots[j];
+            if (b < 1 || b > n_nodes || node[b].link < node[t].link
+                || node[b].link > node[t].head)
+                return 0;
+        }
+        nxt[i + 1] = node[t].depth;
+        if (node[t].depth > deepest)
+            deepest = node[t].depth;
+    }
+
+    /* bottom-up order: a counting sort on top depth, deepest first, and
+       ascending ids within a depth.  aux[d] counts the tops at depth d,
+       then holds the next rank of that depth.  Rank r gets its vertex in
+       order[r] and its record in mate[r]: its top in the high 32 bits,
+       and in the low ones its bottom, or with offsets its vertex.  The
+       slot the vertex AHEAD places on will take is the next rank of its
+       depth as it stands now: exact when no vertex between shares that
+       depth, as on a comb, and a rank of 1..n always. */
+    for (i = 0; i <= deepest; i++)
+        aux[i] = 0;
+    for (i = 1; i <= n; i++)
+        aux[nxt[i]]++;
+    int32_t next = 1;
+    for (i = deepest; i >= 0; i--) {
+        int32_t tops_here = aux[i];
+        aux[i] = next;
+        next += tops_here;
+    }
+    for (i = 1; i <= n; i++) {
+#if defined(__GNUC__)
+        if (ahead && i + AHEAD <= n) {
+            int32_t slot = aux[nxt[i + AHEAD]];
+            __builtin_prefetch(&order[slot], 1);
+            __builtin_prefetch(&mate[slot], 1);
+        }
+#endif
+        int32_t rank = aux[nxt[i]]++;
+        order[rank] = (int32_t)i;
+        mate[rank] = (int64_t)((uint64_t)tops[i - 1] << 32
+                               | (uint64_t)(offsets ? i : bots[i - 1]));
+    }
+    return 1;
+}
+
+static NOINLINE ALIGNED int order_vertices_plain(int64_t n_nodes, int64_t n,
+                                                 const int32_t *tops,
+                                                 const int32_t *bots, int64_t n_bots,
+                                                 const int32_t *offsets, int64_t delta,
+                                                 const node_t *node, int32_t *aux,
+                                                 int32_t *order, int32_t *nxt,
+                                                 int64_t *mate)
+{
+    return order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
+                          order, nxt, mate, 0);
+}
+
+static NOINLINE ALIGNED int order_vertices_ahead(int64_t n_nodes, int64_t n,
+                                                 const int32_t *tops,
+                                                 const int32_t *bots, int64_t n_bots,
+                                                 const int32_t *offsets, int64_t delta,
+                                                 const node_t *node, int32_t *aux,
+                                                 int32_t *order, int32_t *nxt,
+                                                 int64_t *mate)
+{
+    return order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
+                          order, nxt, mate, 1);
+}
+
 /*
  * Every column is int32_t, the type of the node records and the ranks,
  * so no id is narrowed on its way in; the caller keeps n_nodes and n
@@ -98,9 +266,11 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
  *     negated.
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
  *     and on success vertex v is matched to mate[v], or free (0).
- * steps[2]: each step of a find's halving walk is added to steps[0], each
- *     pair made to steps[1].
+ * steps[3]: each step of a find's halving walk is added to steps[0], each
+ *     pair made to steps[1]; steps[2] is set to 1 when the solve took
+ *     order_vertices_ahead, else 0.
  */
+ALIGNED
 int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
               const int32_t *tops, const int32_t *bots, int64_t n_bots,
               const int32_t *offsets, int64_t delta, node_t *node,
@@ -212,52 +382,21 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
     if (delta < 1)
         return BAD_DELTA;
 
-    /* ids in range, 1..delta bottoms each, every top an ancestor-or-self
-       of each of its bottoms.  Offsets start at 0, rise by at least one
-       per vertex and never pass n_bots, so each slice lies inside bots;
-       the last one ends at n_bots.  nxt[v] takes the depth of v's top. */
+    /* the vertex checks and the bottom-up order (order_vertices), after
+       the offsets' ends: they start at 0 and end at n_bots.  Whether the
+       order scatters the vertex columns is decided once, from a sample,
+       and picks the copy that prefetches ahead or the one that does not. */
     if (offsets && (offsets[0] != 0 || offsets[n] != n_bots))
         return BAD_VERTEX;
     if (!offsets && n_bots != n)
         return BAD_VERTEX;
-    int32_t deepest = 0;
-    for (i = 0; i < n; i++) {
-        int32_t t = tops[i];
-        int64_t lo = offsets ? offsets[i] : i, hi = offsets ? offsets[i + 1] : i + 1;
-        if (t < 1 || t > n_nodes || hi > n_bots || hi <= lo || hi - lo > delta)
-            return BAD_VERTEX;
-        for (j = lo; j < hi; j++) {
-            int32_t b = bots[j];
-            if (b < 1 || b > n_nodes || node[b].link < node[t].link
-                || node[b].link > node[t].head)
-                return BAD_VERTEX;
-        }
-        nxt[i + 1] = node[t].depth;
-        if (node[t].depth > deepest)
-            deepest = node[t].depth;
-    }
-
-    /* bottom-up order: a counting sort on top depth, deepest first, and
-       ascending ids within a depth.  aux[d] counts the tops at depth d,
-       then holds the next rank of that depth.  Rank r gets its vertex in
-       order[r] and its record in mate[r]: its top in the high 32 bits,
-       and in the low ones its bottom, or with offsets its vertex. */
-    for (i = 0; i <= deepest; i++)
-        aux[i] = 0;
-    for (i = 1; i <= n; i++)
-        aux[nxt[i]]++;
-    int32_t next = 1;
-    for (i = deepest; i >= 0; i--) {
-        int32_t tops_here = aux[i];
-        aux[i] = next;
-        next += tops_here;
-    }
-    for (i = 1; i <= n; i++) {
-        int32_t rank = aux[nxt[i]]++;
-        order[rank] = (int32_t)i;
-        mate[rank] = (int64_t)((uint64_t)tops[i - 1] << 32
-                               | (uint64_t)(offsets ? i : bots[i - 1]));
-    }
+    int ahead = scattered(n_nodes, n, tops, node);
+    steps[2] = ahead;
+    if (!(ahead ? order_vertices_ahead : order_vertices_plain)(n_nodes, n, tops, bots,
+                                                              n_bots, offsets, delta,
+                                                              node, aux, order, nxt,
+                                                              mate))
+        return BAD_VERTEX;
     memset(nxt, 0, (size_t)(n + 1) * sizeof *nxt);
     for (i = 0; i <= n_nodes; i++)
         node[i].link = node[i].head = 0;

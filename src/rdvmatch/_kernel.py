@@ -31,7 +31,15 @@ instance refused when a value does not fit in 32 bits.  On a topological
 parent column (node 1 the root, every other node after its parent) the
 kernel reads the tree with two linear scans, which carry the node just
 scanned in registers for the child that follows it; on any other column
-it links each node's children itself and walks them depth first.  Until
+it links each node's children itself and walks them depth first.  The
+vertex checks and the counting sort that orders the vertices bottom-up
+come in two copies, one of which prefetches the node records and the
+rank slots of the vertex 16 ahead; a sample of 64 pairs of neighbouring
+vertices picks it once per solve, when at least half have tops more
+than 16 levels apart, as on a comb whose vertex ids permute its spine.
+That copy range-checks every id before it forms an address from it, and
+where ``__GNUC__`` is not defined it is compiled without prefetches, as
+the find loop's are.  Until
 its last pass the mate array holds each rank's packed top and bottom
 (or vertex), so the find loop reads them front to back; a node holds at
 most one free vertex, by rank; each find halves its path and then
@@ -227,10 +235,20 @@ def solve(inst) -> tuple[int, array | None, int, int]:
     The steps count every step of every find's halving walk, not of the
     compression walk after it (0 when refused).
     """
+    code, mate, steps = _solve(inst)
+    return code, (mate if code == 0 else None), steps[1], steps[0]
+
+
+def _solve(inst) -> tuple[int, array | None, array]:
+    """``(code, mate, steps)``: the kernel's code and mate array, and its
+    counters: find steps, pairs, and 1 when the vertex checks and the
+    order took their prefetching copy (0 when they did not, or when the
+    kernel refused the instance before they ran)."""
+    steps = array("q", [0, 0, 0])
     tree = inst.tree
     n_nodes, n, delta = tree.node_count, len(inst.tops), inst.delta
     if kernel is None or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT):
-        return REFUSED, None, 0, 0
+        return REFUSED, None, steps
     parent, tops, bots = map(_int32_column, (tree._parent, inst.tops, inst.bots))
     offsets = None if inst.offsets is None else _int32_column(inst.offsets)
     if (
@@ -241,7 +259,7 @@ def solve(inst) -> tuple[int, array | None, int, int]:
         or len(parent) != n_nodes + 1
         or (offsets is not None and len(offsets) != n + 1)
     ):
-        return REFUSED, None, 0, 0
+        return REFUSED, None, steps
     # node's records, then aux, in one allocation: freed as two, the tables
     # of perfbench's comb solve were trimmed off the top of glibc's heap in
     # some heap layouts, and the next solve faulted them in again
@@ -250,11 +268,10 @@ def solve(inst) -> tuple[int, array | None, int, int]:
     order = _zeros(n + 1)
     nxt = _zeros(n + 1)
     mate = array("q", [0]) * (n + 1)
-    steps = array("q", [0, 0])  # find steps, pairs
     code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
         _address(node), aux, _address(order), _address(nxt),
         _address(mate), _address(steps),
     )
-    return code, (mate if code == 0 else None), steps[1], steps[0]
+    return code, mate, steps

@@ -13,7 +13,8 @@ int64 value stored into an int32 column, a build failure) and its own:
   ``-Wmaybe-uninitialized`` sees more;
 * ``portable``, with ``__GNUC__`` and ``__SSE2__`` hidden: the block
   scan takes its masks from 8-byte words, the bit index comes without
-  ``__builtin_ctzll`` and the find loop without ``__builtin_prefetch``;
+  ``__builtin_ctzll``, and the vertex checks, the order and the find
+  loop without ``__builtin_prefetch``;
 * ``sanitized``, under AddressSanitizer and UndefinedBehaviorSanitizer
   (``-g -fsanitize=address,undefined -fno-sanitize-recover=all``).
 
@@ -21,7 +22,9 @@ A private copy of the source keeps every build out of the package's
 cache.  In one fresh process per variant, the build is swapped in for
 ``_kernel.kernel`` and the kernel's tests run against it:
 ``tests/test_kernel.py``, which checks the solve against the pure route
-and the tokenizer against the Python parser (its byte-level fuzz feeds
+(its guard tests plant bad ids where the prefetching copy of the vertex
+checks reads them ahead of the checks) and the tokenizer against the
+Python parser (its byte-level fuzz feeds
 cut and byte-flipped texts in exactly sized buffers, and its split-fill
 tests feed texts large enough that the parse fills their two parts on
 two threads, where the process may run on more than one CPU), and C6d of

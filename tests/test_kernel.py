@@ -49,7 +49,7 @@ from rdvmatch.matching import (
 
 from conftest import pure_route, random_instance, topological
 from test_io import mutated_texts
-from test_matching import fast_loop_corpus, relabeled_cases, renumbered
+from test_matching import fast_loop_corpus, relabeled, relabeled_cases, renumbered
 
 needs_kernel = pytest.mark.skipif(
     _kernel.kernel is None, reason=f"kernel not built: {_kernel.LOAD_ERROR}"
@@ -528,6 +528,111 @@ def test_foreign_columns_past_32_bits_take_the_pure_route(column):
     assert validate_instance(foreign)
     for entry in ENTRIES:
         assert outcome(entry, foreign) == outcome(entry, foreign, pure=True), entry.__name__
+
+
+# the shapes around the kernel's sampled decision: whether at least half
+# of 64 evenly spaced pairs of neighbouring vertices have tops more than
+# 16 levels apart, from 128 vertices on.  Comb's vertex ids permute its
+# spine, and the path's tops lie anywhere on it; dense's neighbouring tops
+# are adjacent, and random's depths span a few dozen levels.
+DECISION_SHAPES = {
+    "comb": (lambda n: gen_comb(n, 3), True),
+    "comb, shuffled node ids": (lambda n: relabeled(gen_comb(n, 3), 7), True),
+    "path": (
+        lambda n: gen_random(GenConfig(seed=n, tree_nodes=n, n_vertices=n, max_branching=1)),
+        True,
+    ),
+    "dense": (gen_dense, False),
+    "random": (_random(1), False),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [127, 128, 129, 143, 144, 145, 1024])
+@pytest.mark.parametrize("shape", DECISION_SHAPES)
+def test_prefetching_copy_equals_pure_loop_at_the_decision_edges(shape, n):
+    """Mates, pairs and find steps equal the pure loop's on either side of
+    the decision, and the third counter says which copy of the vertex
+    checks and the order ran: the prefetching one exactly on the
+    scattered shapes of 128 vertices or more."""
+    make, scattered = DECISION_SHAPES[shape]
+    inst = make(n)
+    code, mate, steps = _kernel._solve(inst)
+    assert code == 0
+    assert (mate, steps[1], steps[0]) == pure_solve(inst)
+    assert steps[2] == (scattered and n >= 128)
+
+
+def comb_columns(n, with_offsets):
+    """A comb of ``n`` vertices as ``(tree, tops, bots, offsets, delta)``,
+    plain or at delta 2 with one bottom per vertex and an offsets column,
+    so that the sample flags it either way."""
+    inst = gen_comb(n, 3)
+    tops, bots = array("i", inst.tops), array("i", inst.bots)
+    if with_offsets:
+        return inst.tree, tops, bots, array("i", range(n + 1)), 2
+    return inst.tree, tops, bots, None, 1
+
+
+def planted_positions(n):
+    """Where the guard tests plant a bad id: 1 to 16 vertices after a
+    valid prefix of n / 2, the last 16 vertices, and sampled vertices
+    ``k = i * (n // 64)`` and their right neighbours."""
+    positions = {n // 2 + d for d in range(1, 17)} | {n - d for d in range(1, 17)}
+    for i in (0, 1, 31, 63):
+        positions |= {i * (n // 64), i * (n // 64) + 1}
+    return sorted(positions)
+
+
+def assert_refused_after_the_sample(columns):
+    """The kernel took its prefetching copy and refused the instance, and
+    both entry points raise the pure route's exact error."""
+    inst = RdvInstance.from_columns(*columns)
+    code, _, steps = _kernel._solve(inst)
+    assert code != 0 and steps[2] == 1
+    for entry in ENTRIES:
+        got = outcome(entry, inst)
+        assert got == outcome(entry, inst, pure=True), entry.__name__
+        assert got[0] is InvalidInstanceError, entry.__name__
+
+
+def planted(columns, index, at, bad):
+    """``columns`` with fresh copies of its arrays, and ``bad`` at ``at``
+    of column ``index``."""
+    copies = [c[:] if isinstance(c, array) else c for c in columns]
+    copies[index][at] = bad
+    return copies
+
+
+@needs_kernel
+@pytest.mark.parametrize("with_offsets", [False, True], ids=["plain", "offsets"])
+@pytest.mark.parametrize("column", ["tops", "bots"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_prefetch_guards_refuse_bad_ids(n, column, with_offsets):
+    """The sample and the look-ahead read ids before the vertex checks
+    do.  A bad top or bottom planted where they read it first is still
+    refused by the checks, with the pure route's error; in the sanitized
+    build of tests/kernel_builds.py a read past a column's end would be
+    reported."""
+    columns = comb_columns(n, with_offsets)
+    index = 1 if column == "tops" else 2
+    for bad in (0, -1, columns[0].node_count + 1, 2**31 - 1):
+        for at in planted_positions(n):
+            assert_refused_after_the_sample(planted(columns, index, at, bad))
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "bad", [lambda n_bots: n_bots + 1, lambda n_bots: 2**31 - 1], ids=["n_bots + 1", "2^31 - 1"]
+)
+def test_offsets_past_the_bottoms_near_the_end_are_refused(bad):
+    """With offsets, the look-ahead prefetches tops only, and the checks
+    refuse an offset that jumps past the bottoms within 16 vertices of
+    the end."""
+    n = 256
+    columns = comb_columns(n, with_offsets=True)
+    for d in range(1, 17):
+        assert_refused_after_the_sample(planted(columns, 3, n - d, bad(len(columns[2]))))
 
 
 def parse_outcome(parse, text):
