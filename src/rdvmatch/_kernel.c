@@ -96,23 +96,12 @@ enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
    tops lie more than FAR levels apart. */
 enum { AHEAD = 16, SAMPLE = 64, FAR = 16 };
 
-/* rdv_solve calls one of two copies of order_vertices, each its own
-   function with the body inlined, so that neither loop tests whether to
-   prefetch (always_inline: gcc 12 at -O2 left a plain inline body out of
-   line, and both copies called it).  They and rdv_solve start at 64-byte
-   boundaries, so that code added or removed elsewhere in this file does
-   not move their loops across cache lines: timings of a few percent moved
-   with code layout alone.  Without this alignment, or with every
-   function, loop and jump aligned by -falign-*=64 flags instead, a first
-   version read dense's perfbench match 1-3% slower than the parent, and
-   with it 1% faster (BENCH_27.json, layout). */
+/* rdv_solve starts at a 64-byte boundary, so that code added or removed
+   elsewhere in this file does not move its loops across cache lines:
+   timings of a few percent move with code layout alone. */
 #if defined(__GNUC__)
-#define INLINE inline __attribute__((always_inline))
-#define NOINLINE __attribute__((noinline))
 #define ALIGNED __attribute__((aligned(64)))
 #else
-#define INLINE inline
-#define NOINLINE
 #define ALIGNED
 #endif
 
@@ -146,12 +135,14 @@ static int scattered(int64_t n_nodes, int64_t n, const int32_t *tops,
    each range-checked before its address is formed (with offsets, the
    bottoms would come from offsets entries not checked yet, so none is
    prefetched).  And the scatter prefetches for writing the order and
-   mate slots that the vertex AHEAD places on will take. */
-static INLINE int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
-                                 const int32_t *bots, int64_t n_bots,
-                                 const int32_t *offsets, int64_t delta,
-                                 const node_t *node, int32_t *aux, int32_t *order,
-                                 int32_t *nxt, int64_t *mate, int ahead)
+   mate slots that the vertex AHEAD places on will take.  Without ahead
+   there is no prefetch: where neighbouring vertices read nearby records
+   and take nearby ranks, as on dense, the prefetches cost more than they
+   save. */
+static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
+                          const int32_t *bots, int64_t n_bots, const int32_t *offsets,
+                          int64_t delta, const node_t *node, int32_t *aux,
+                          int32_t *order, int32_t *nxt, int64_t *mate, int ahead)
 {
     int64_t i, j;
 
@@ -224,30 +215,6 @@ static INLINE int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops
     return 1;
 }
 
-static NOINLINE ALIGNED int order_vertices_plain(int64_t n_nodes, int64_t n,
-                                                 const int32_t *tops,
-                                                 const int32_t *bots, int64_t n_bots,
-                                                 const int32_t *offsets, int64_t delta,
-                                                 const node_t *node, int32_t *aux,
-                                                 int32_t *order, int32_t *nxt,
-                                                 int64_t *mate)
-{
-    return order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
-                          order, nxt, mate, 0);
-}
-
-static NOINLINE ALIGNED int order_vertices_ahead(int64_t n_nodes, int64_t n,
-                                                 const int32_t *tops,
-                                                 const int32_t *bots, int64_t n_bots,
-                                                 const int32_t *offsets, int64_t delta,
-                                                 const node_t *node, int32_t *aux,
-                                                 int32_t *order, int32_t *nxt,
-                                                 int64_t *mate)
-{
-    return order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
-                          order, nxt, mate, 1);
-}
-
 /*
  * Every column is int32_t, the type of the node records and the ranks,
  * so no id is narrowed on its way in; the caller keeps n_nodes and n
@@ -267,8 +234,8 @@ static NOINLINE ALIGNED int order_vertices_ahead(int64_t n_nodes, int64_t n,
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
  *     and on success vertex v is matched to mate[v], or free (0).
  * steps[3]: each step of a find's halving walk is added to steps[0], each
- *     pair made to steps[1]; steps[2] is set to 1 when the solve took
- *     order_vertices_ahead, else 0.
+ *     pair made to steps[1]; steps[2] is set to 1 when the vertex checks
+ *     and the order prefetch, else 0.
  */
 ALIGNED
 int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
@@ -384,18 +351,16 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
 
     /* the vertex checks and the bottom-up order (order_vertices), after
        the offsets' ends: they start at 0 and end at n_bots.  Whether the
-       order scatters the vertex columns is decided once, from a sample,
-       and picks the copy that prefetches ahead or the one that does not. */
+       order scatters the vertex columns, and so whether they prefetch
+       ahead, is decided once, from a sample. */
     if (offsets && (offsets[0] != 0 || offsets[n] != n_bots))
         return BAD_VERTEX;
     if (!offsets && n_bots != n)
         return BAD_VERTEX;
     int ahead = scattered(n_nodes, n, tops, node);
     steps[2] = ahead;
-    if (!(ahead ? order_vertices_ahead : order_vertices_plain)(n_nodes, n, tops, bots,
-                                                              n_bots, offsets, delta,
-                                                              node, aux, order, nxt,
-                                                              mate))
+    if (!order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
+                        order, nxt, mate, ahead))
         return BAD_VERTEX;
     memset(nxt, 0, (size_t)(n + 1) * sizeof *nxt);
     for (i = 0; i <= n_nodes; i++)

@@ -33,14 +33,13 @@ kernel reads the tree with two linear scans, which carry the node just
 scanned in registers for the child that follows it; on any other column
 it links each node's children itself and walks them depth first.  The
 vertex checks and the counting sort that orders the vertices bottom-up
-come in two copies, one of which prefetches the node records and the
-rank slots of the vertex 16 ahead; a sample of 64 pairs of neighbouring
-vertices picks it once per solve, when at least half have tops more
-than 16 levels apart, as on a comb whose vertex ids permute its spine.
-That copy range-checks every id before it forms an address from it, and
-where ``__GNUC__`` is not defined it is compiled without prefetches, as
-the find loop's are.  Until
-its last pass the mate array holds each rank's packed top and bottom
+prefetch the node records and the rank slots of the vertex 16 ahead
+when a sample of 64 pairs of neighbouring vertices, taken once per
+solve, finds at least half with tops more than 16 levels apart, as on a
+comb whose vertex ids permute its spine.  Every id is range-checked
+before an address is formed from it, and where ``__GNUC__`` is not
+defined there are no prefetches, as in the find loop.  Until its last
+pass the mate array holds each rank's packed top and bottom
 (or vertex), so the find loop reads them front to back; a node holds at
 most one free vertex, by rank; each find halves its path and then
 compresses it, pointing every link of the walk at the node where it
@@ -242,8 +241,8 @@ def solve(inst) -> tuple[int, array | None, int, int]:
 def _solve(inst) -> tuple[int, array | None, array]:
     """``(code, mate, steps)``: the kernel's code and mate array, and its
     counters: find steps, pairs, and 1 when the vertex checks and the
-    order took their prefetching copy (0 when they did not, or when the
-    kernel refused the instance before they ran)."""
+    order prefetched (0 when they did not, or when the kernel refused the
+    instance before they ran)."""
     steps = array("q", [0, 0, 0])
     tree = inst.tree
     n_nodes, n, delta = tree.node_count, len(inst.tops), inst.delta

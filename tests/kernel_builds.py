@@ -22,8 +22,8 @@ A private copy of the source keeps every build out of the package's
 cache.  In one fresh process per variant, the build is swapped in for
 ``_kernel.kernel`` and the kernel's tests run against it:
 ``tests/test_kernel.py``, which checks the solve against the pure route
-(its guard tests plant bad ids where the prefetching copy of the vertex
-checks reads them ahead of the checks) and the tokenizer against the
+(its guard tests plant bad ids where the vertex checks' look-ahead
+reads them before the checks do) and the tokenizer against the
 Python parser (its byte-level fuzz feeds
 cut and byte-flipped texts in exactly sized buffers, and its split-fill
 tests feed texts large enough that the parse fills their two parts on

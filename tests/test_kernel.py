@@ -550,11 +550,11 @@ DECISION_SHAPES = {
 @needs_kernel
 @pytest.mark.parametrize("n", [127, 128, 129, 143, 144, 145, 1024])
 @pytest.mark.parametrize("shape", DECISION_SHAPES)
-def test_prefetching_copy_equals_pure_loop_at_the_decision_edges(shape, n):
+def test_prefetches_equal_pure_loop_at_the_decision_edges(shape, n):
     """Mates, pairs and find steps equal the pure loop's on either side of
-    the decision, and the third counter says which copy of the vertex
-    checks and the order ran: the prefetching one exactly on the
-    scattered shapes of 128 vertices or more."""
+    the decision, and the third counter says whether the vertex checks and
+    the order prefetched: exactly on the scattered shapes of 128 vertices
+    or more."""
     make, scattered = DECISION_SHAPES[shape]
     inst = make(n)
     code, mate, steps = _kernel._solve(inst)
@@ -585,8 +585,8 @@ def planted_positions(n):
 
 
 def assert_refused_after_the_sample(columns):
-    """The kernel took its prefetching copy and refused the instance, and
-    both entry points raise the pure route's exact error."""
+    """The vertex checks and the order prefetched, the kernel refused the
+    instance, and both entry points raise the pure route's exact error."""
     inst = RdvInstance.from_columns(*columns)
     code, _, steps = _kernel._solve(inst)
     assert code != 0 and steps[2] == 1
@@ -610,10 +610,14 @@ def planted(columns, index, at, bad):
 @pytest.mark.parametrize("n", [256, 1024])
 def test_prefetch_guards_refuse_bad_ids(n, column, with_offsets):
     """The sample and the look-ahead read ids before the vertex checks
-    do.  A bad top or bottom planted where they read it first is still
-    refused by the checks, with the pure route's error; in the sanitized
-    build of tests/kernel_builds.py a read past a column's end would be
-    reported."""
+    do.  A bad top or bottom planted where they read it first is refused,
+    with the pure route's error, and in the sanitized build of
+    tests/kernel_builds.py a read past a column's end would be reported.
+
+    This cannot catch a missing range check before a prefetch of
+    ``&node[id]``: a prefetch never faults, the sanitizers do not see it,
+    and the vertex checks refuse the id anyway.  Those guards rest on
+    review."""
     columns = comb_columns(n, with_offsets)
     index = 1 if column == "tops" else 2
     for bad in (0, -1, columns[0].node_count + 1, 2**31 - 1):
