@@ -41,15 +41,23 @@
  * "Improving Hash Join Performance through Prefetching", ICDE 2004).  The
  * bottom-up order packs each rank's top and bottom (or vertex) into one
  * 64-bit record, so the find loop reads its vertices front to back,
- * prefetches the node records of the ranks a few ahead, and notes each
+ * prefetches the find records of the ranks a few ahead, and notes each
  * pair as two ranks; the mate array is written from them in one last
- * pass.  A find halves its path, then points every link of the walk at
- * the node where it stopped (path compression).  Halving and compression
- * each cost O(log |T|) amortized per find without ranks (Tarjan & van
- * Leeuwen, "Worst-case analysis of set union algorithms", JACM 1984);
- * the compression walk revisits only the nodes the halving walk counted,
- * so a find costs at most twice its counted steps, and it only moves a
- * link further along its own path, so no link path ever grows.
+ * pass.  The find loop works over 8-byte {link, head} records, written
+ * over the front half of the 16-byte node records once the vertex checks
+ * have read those, so it reads no depth: every link starts at the parent,
+ * and a find from bottom b stops at a node that holds a free vertex or at
+ * b's top, which it never passes, since every link points at an ancestor
+ * no shallower than the top it was set under and tops come in
+ * non-increasing depth.  A find halves its path across every dead node
+ * (below the top and empty, so empty for good), then points every link
+ * of the walk at the node where it stopped (path compression).  Halving
+ * and compression each cost O(log |T|) amortized per find without ranks
+ * (Tarjan & van Leeuwen, "Worst-case analysis of set union algorithms",
+ * JACM 1984); the compression walk revisits only the nodes the halving
+ * walk counted, so a find costs at most twice its counted steps, and it
+ * only moves a link further along its own path, so no link path ever
+ * grows.
  *
  * Every prefetch is a gcc builtin, compiled only under __GNUC__, so a
  * portable build has none.
@@ -80,14 +88,19 @@
 #include <emmintrin.h>
 #endif
 
-/* One host-tree node.  The find loop reads all four fields of every node
-   it visits, so they share one 16-byte record.  Until the vertex checks
-   are done, link and head hold its preorder number and the last one in
-   its subtree; before the depth-first pass, head heads its list of
-   children. */
+/* One host-tree node, until the vertex checks are done: link and head
+   hold its preorder number and the last one in its subtree, and before
+   the depth-first pass head heads its list of children. */
 typedef struct {
     int32_t parent, depth, link, head;
 } node_t;
+
+/* One node in the find loop, which reads both fields of every node it
+   visits and no other: 8 bytes, written over the front half of the node_t
+   table once the vertex checks are done.  link starts at the parent. */
+typedef struct {
+    int32_t link, head;
+} find_t;
 
 enum { OK = 0, BAD_TREE = 1, BAD_DELTA = 2, BAD_VERTEX = 3, BAD_TEXT = 4 };
 
@@ -228,7 +241,8 @@ static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
  *     the vertex columns of rdvmatch.core.RdvInstance; with no offsets,
  *     vertex v has the one bottom bots[v - 1].
  * node[n_nodes + 1], aux[n_nodes + 1], order[n + 1], nxt[n + 1]:
- *     zeroed work tables.  order[r] is the vertex of rank r; nxt holds the
+ *     zeroed work tables.  The find loop reuses the front half of node as
+ *     its find_t records.  order[r] is the vertex of rank r; nxt holds the
  *     depth of each vertex's top, then each matched rank's partner rank,
  *     negated.
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
@@ -363,8 +377,17 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
                         order, nxt, mate, ahead))
         return BAD_VERTEX;
     memset(nxt, 0, (size_t)(n + 1) * sizeof *nxt);
-    for (i = 0; i <= n_nodes; i++)
-        node[i].link = node[i].head = 0;
+
+    /* the find records over the front half of node, in ascending ids:
+       record i, {link = parent, head = 0}, takes bytes [8i, 8i + 8), where
+       node records 0 to i / 2 lay, read already, and node i's parent has
+       just been read.  memcpy stores them, so that no access as find_t is
+       taken to be apart from one as node_t by their types alone. */
+    find_t *rec = (find_t *)(void *)node;
+    for (i = 0; i <= n_nodes; i++) {
+        find_t r = {node[i].parent, 0};
+        memcpy((char *)node + (size_t)i * sizeof r, &r, sizeof r);
+    }
 
     /* the find loop of _shoot_greedy: head is the rank of the free vertex
        a node holds (0: none), never more than one.  The smallest head
@@ -376,58 +399,67 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
         int32_t u, w, best = 0, at = 0;
 #if defined(__GNUC__)
         /* the records ahead are known, so their reads can start early: the
-           node records of the top and the bottoms 8 ranks ahead, and with
+           find records of the top and the bottoms 8 ranks ahead, and with
            offsets the vertex's offsets 16 ranks ahead; the guards add
            in n's 64 bits, where rank + 16 could overflow an int32 */
         if (offsets && (int64_t)rank + 16 <= n)
             __builtin_prefetch(&offsets[(uint32_t)mate[rank + 16] - 1]);
         if ((int64_t)rank + 8 <= n) {
             uint64_t ahead = (uint64_t)mate[rank + 8];
-            __builtin_prefetch(&node[ahead >> 32]);
+            __builtin_prefetch(&rec[ahead >> 32]);
             if (offsets)
                 for (j = offsets[(uint32_t)ahead - 1]; j < offsets[(uint32_t)ahead]; j++)
-                    __builtin_prefetch(&node[bots[j]]);
+                    __builtin_prefetch(&rec[bots[j]]);
             else
-                __builtin_prefetch(&node[(uint32_t)ahead]);
+                __builtin_prefetch(&rec[(uint32_t)ahead]);
         }
 #endif
         uint64_t record = (uint64_t)mate[rank];
-        int32_t top = (int32_t)(record >> 32), depth = node[top].depth;
+        int32_t top = (int32_t)(record >> 32);
         int64_t lo = offsets ? offsets[(uint32_t)record - 1] : 0;
         int64_t hi = offsets ? offsets[(uint32_t)record] : 1;
         for (j = lo; j < hi; j++) {
             int32_t start = u = offsets ? bots[j] : (int32_t)(uint32_t)record;
             int64_t before = count;
-            /* u holds no free vertex and lies below the top: it never gets
-               one again, so link it to its parent, later halve its path */
-            while (!node[u].head && node[u].depth > depth) {
-                w = node[u].link;
-                w = w ? (node[w].link ? node[w].link : w) : node[u].parent;
-                node[u].link = w;
+            /* u below the top with no free vertex is dead: it never gets
+               one again, since every later top is at most as deep as this
+               one.  Step to its link, and across that node too when it is
+               dead (path halving).  Every link points at an ancestor no
+               shallower than the top it was set under, and tops come in
+               non-increasing depth, so the walk never passes the top and
+               stops there at the latest.  That holds only for bottoms the
+               vertex checks placed below their top: termination rests on
+               them having run.  The tests against the top come first, as
+               they need no load; the top's head is read after the walk. */
+            while (u != top && !rec[u].head) {
+                w = rec[u].link;
+                if (w != top && !rec[w].head)
+                    w = rec[w].link;
+                rec[u].link = w;
                 u = w;
                 count++;
             }
             /* then point every link of the walk at u, where it stopped: the
-               nodes between are empty for good.  A walk of one step left
-               its start linked to u already. */
+               nodes between are dead.  A walk of one step left its start
+               linked to u already. */
             if (count - before > 1)
-                for (w = start; node[w].link != u;) {
-                    int32_t up = node[w].link;
-                    node[w].link = u;
+                for (w = start; rec[w].link != u;) {
+                    int32_t up = rec[w].link;
+                    rec[w].link = u;
                     w = up;
                 }
-            if (node[u].head && (!best || node[u].head < best)) {
-                best = node[u].head;
+            if (rec[u].head && (!best || rec[u].head < best)) {
+                best = rec[u].head;
                 at = u;
             }
         }
         if (best) {
-            node[at].head = 0;
+            rec[at].head = 0;
             nxt[best] = -rank;
             nxt[rank] = -best;
             pairs++;
         } else {
-            node[top].head = rank;
+            rec[top].head = rank;
         }
     }
 

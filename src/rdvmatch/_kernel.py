@@ -40,13 +40,18 @@ comb whose vertex ids permute its spine.  Every id is range-checked
 before an address is formed from it, and where ``__GNUC__`` is not
 defined there are no prefetches, as in the find loop.  Until its last
 pass the mate array holds each rank's packed top and bottom
-(or vertex), so the find loop reads them front to back; a node holds at
-most one free vertex, by rank; each find halves its path and then
-compresses it, pointing every link of the walk at the node where it
-stopped, so it costs at most twice its counted halving steps, which are
-``O(log |T|)`` amortized (Tarjan & van Leeuwen 1984); the loop notes
-each pair as two ranks, and the last pass writes the mate array from
-them.  It refuses, with a nonzero code, whatever it cannot take as it
+(or vertex), so the find loop reads them front to back.  It works over
+8-byte ``{link, head}`` records, which the kernel writes over the front
+half of the node records once the vertex checks have read them: each
+link starts at the node's parent, and a node holds at most one free
+vertex, by rank.  Each find stops at a node that holds a free vertex or
+at its vertex's top, which it never passes, so it reads no depth; it
+halves its path across every dead node (below the top and empty, so
+empty for good) and then compresses it, pointing every link of the
+walk at the node where it stopped, so it costs at most twice its
+counted halving steps, which are ``O(log |T|)`` amortized (Tarjan & van
+Leeuwen 1984).  The loop notes each pair as two ranks, and the last
+pass writes the mate array from them.  It refuses, with a nonzero code, whatever it cannot take as it
 is: an instance validation would reject, a list column (an id beyond 32
 bits), a node or vertex count of 2**31 - 1 or more, or columns whose
 lengths disagree.  The entry points then run the pure route, so every
@@ -66,7 +71,8 @@ Every column and table the kernel writes is allocated here, so
 tracemalloc counts it: the parsed columns and the work tables as
 ``array('i')``, and the mate array, which holds 64-bit records until the
 solve's last pass, as ``array('q')``.  The solve works in, per node, one
-16-byte record ``{parent, depth, link, head}`` plus one int32 (``aux``),
+16-byte record ``{parent, depth, link, head}``, whose table's front half
+the find loop reuses for its 8-byte records, plus one int32 (``aux``),
 both in one allocation, and per vertex two int32 and the int64 mate.
 """
 

@@ -8,7 +8,8 @@ greedy across doubling instance sizes and emits CSV rows; growth ratios
 across doublings are the machine-independent way to see that run time
 tracks the vertex count, not the edge count.  Each row also times the
 parse of the instance's text, and counts the minor page faults of a
-solve, a count that does not drift with the machine's speed.
+solve and the native kernel's find steps per ray, counts that do not
+drift with the machine's speed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, fields
 
+from . import _kernel
 from .core import Matching, RdvInstance, bottom_up_order, oracle_adjacency
 from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
@@ -32,7 +34,8 @@ except ImportError:  # not on every platform
     resource = None
 
 NOT_MATERIALIZED = "not materialized"
-NOT_COUNTED = "not counted"  # minor faults where getrusage is missing
+# minor faults where getrusage is missing, find steps on the pure route
+NOT_COUNTED = "not counted"
 
 # oracle edge counting is quadratic; skip it above this size
 EDGE_COUNT_LIMIT = 256
@@ -49,6 +52,7 @@ class BenchRecord:
     matching_size: int
     seed: int
     minor_faults: int | str
+    find_steps: float | str
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRecord)]
@@ -167,8 +171,12 @@ def bench_sweep(
     stands between two of them.  ``minor_faults``
     is the median of each run's minor page faults (``ru_minflt`` of
     ``resource.getrusage``), or :data:`NOT_COUNTED` where the platform has
-    no ``resource`` module.  Edge counts are materialized through the
-    oracle only at small sizes.
+    no ``resource`` module.  ``find_steps`` is the native kernel's count of
+    find steps (:func:`rdvmatch._kernel.solve`) over the instance's rays,
+    one per bottom, from one more solve outside the timed ones, or
+    :data:`NOT_COUNTED` where the kernel does not solve the instance, as
+    on the pure route.  Edge counts are materialized through the oracle
+    only at small sizes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -188,6 +196,7 @@ def bench_sweep(
             times.append(time.perf_counter_ns() - t0)
             faults.append(_minor_faults() - f0)
             size = len(matching)
+        code, _, _, steps = _kernel.solve(inst)
         text = write_instance(inst)
         parse_instance(text)  # warmup
         parse_times: list[int] = []
@@ -211,6 +220,7 @@ def bench_sweep(
                 matching_size=size,
                 seed=inst_seed,
                 minor_faults=int(statistics.median(faults)) if resource else NOT_COUNTED,
+                find_steps=round(steps / len(inst.bots), 2) if code == 0 else NOT_COUNTED,
             )
         )
     return records
@@ -225,7 +235,8 @@ def records_to_csv(records: list[BenchRecord], repeats: int) -> str:
     buf = _io.StringIO()
     buf.write(
         f"# median wall-clock ns and minor page faults over {repeats} repeats; "
-        "median_ns excludes generation and parsing, parse_ns parses the written instance\n"
+        "median_ns excludes generation and parsing, parse_ns parses the written instance; "
+        "find_steps counts the kernel's find steps per ray\n"
     )
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()

@@ -117,13 +117,16 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     later vertex with that top stops there or at an earlier hit.  ``head``
     holds each node's free vertex by rank (0: none), a vertex's hit is
     the smallest nonzero head its finds stop at, and ``order[best - 1]``
-    is the vertex of rank ``best``.  A node deeper than the current top
-    that holds no free vertex never gets one again, so it links to its
-    parent (``link``), and a shot is a find with path halving that stops
-    at a node holding a free vertex or not deeper than the current top.
-    A second walk from the same start then points every link of the
-    first at the node where it stopped (path compression): the nodes in
-    between are empty for good.  Halving and compression each cost
+    is the vertex of rank ``best``.  A node below the current top that
+    holds no free vertex is dead: every later top is at most as deep, so
+    it never gets one again.  Each node's ``link`` starts at its parent,
+    and a shot is a find from the bottom that stops at a node holding a
+    free vertex or at the top, halving its path across every dead node.
+    It never passes the top: every link points at an ancestor no
+    shallower than the top it was set under, and tops come in
+    non-increasing depth, so the find reads no depth.  A second walk from
+    the same start then points every link of the first at the node where
+    it stopped (path compression): the nodes in between are dead.  Halving and compression each cost
     O(log |T|) amortized per find without ranks (Tarjan & van Leeuwen,
     JACM 1984); the compression walk revisits only the nodes the halving
     walk stepped through, so a find costs at most twice its halving
@@ -139,28 +142,29 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     tops, bots, offsets = inst.tops, inst.bots, inst.offsets
     plain = offsets is None
     n = len(tops)
-    y = coords.y
-    parent = inst.tree._parent
-    link = [0] * len(parent)  # 0 until the node is linked
-    head = [0] * len(parent)  # 0 while the node holds no free vertex
+    link = list(inst.tree._parent)  # each node's parent until a find moves it
+    head = [0] * len(link)  # 0 while the node holds no free vertex
     mate = array("q", [0]) * (n + 1)
     size = 0
     for rank, v in enumerate(order, start=1):
         top = tops[v - 1]
-        depth = y[top]
         best = rank  # every hit ranks earlier
         # one ray per bottom: a 1-tuple on a plain instance, else the
         # vertex's slice of the bottoms column
         for start in (bots[v - 1],) if plain else bots[offsets[v - 1] : offsets[v]]:
             u = start
-            while not head[u] and y[u] > depth:
-                # u stays empty for good: link it to its parent on the
-                # first visit, later halve the path through its link
+            # u is dead (below the top, empty for good): step to its link,
+            # and across that node too when it is dead.  The walk never
+            # passes the top, but only because validation placed every
+            # bottom below its top
+            while u != top and not head[u]:
                 w = link[u]
-                w = link[u] = (link[w] or w) if w else parent[u]
+                if w != top and not head[w]:
+                    w = link[w]
+                link[u] = w
                 u = w
             # then point every link of the walk at u, where it stopped:
-            # the nodes between are empty for good
+            # the nodes between are dead
             w = start
             while w != u and link[w] != u:
                 link[w], w = u, link[w]

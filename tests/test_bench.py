@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from rdvmatch import bench
+from rdvmatch import _kernel, bench
 from rdvmatch.bench import (
     CSV_FIELDS,
     NOT_COUNTED,
@@ -170,6 +170,19 @@ class TestBenchSweep:
         with mock.patch.object(bench, "resource", None):
             records = bench_sweep("random", range(4, 5), repeats=1)
         assert records[0].minor_faults == NOT_COUNTED
+
+    def test_find_steps_per_ray(self):
+        """The kernel's find steps over the rays of the row's instance on
+        the native route, and a marker on the pure one (or without a
+        kernel), where no find step is counted."""
+        for family in ("dense", "random"):
+            (record,) = bench_sweep(family, range(10, 11), repeats=1)
+            if _kernel.kernel is None:
+                assert record.find_steps == NOT_COUNTED
+            else:
+                inst = bench._bench_instance(family, 1 << 10, record.seed)
+                steps = _kernel.solve(inst)[3]
+                assert steps > 0 and record.find_steps == round(steps / len(inst.bots), 2)
 
     def test_comb_family_is_edgeless(self):
         records = bench_sweep("comb", range(3, 5), repeats=1)

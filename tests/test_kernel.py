@@ -48,6 +48,7 @@ from rdvmatch.matching import (
 )
 
 from conftest import pure_route, random_instance, topological
+from test_acceptance import GROWTH_FAMILIES
 from test_io import mutated_texts
 from test_matching import fast_loop_corpus, relabeled, relabeled_cases, renumbered
 
@@ -76,16 +77,21 @@ def test_kernel_equals_pure_loop_on_fast_loop_corpus():
         assert steps > 0, name
 
 
-def pure_solve(inst):
-    """``(mate, pairs, find steps)`` of the pure loop ``_shoot_greedy``; its
-    find steps are the line events of the step ``u = w`` in its frame."""
+def pure_line(text):
+    """The line number of the one line of ``_shoot_greedy`` that reads
+    ``text``, stripped."""
     lines, first = inspect.getsourcelines(_shoot_greedy)
-    (step,) = [first + i for i, line in enumerate(lines) if line.strip() == "u = w"]
-    steps = 0
+    (at,) = [first + i for i, line in enumerate(lines) if line.strip() == text]
+    return at
+
+
+def traced_pure(inst, on_line):
+    """``_shoot_greedy(inst)``, calling ``on_line(frame)`` before each line
+    it runs in its own frame."""
 
     def in_frame(frame, event, arg):
-        nonlocal steps
-        steps += event == "line" and frame.f_lineno == step
+        if event == "line":
+            on_line(frame)
         return in_frame
 
     def on_call(frame, event, arg):
@@ -94,9 +100,22 @@ def pure_solve(inst):
     outer = sys.gettrace()
     sys.settrace(on_call)
     try:
-        m = _shoot_greedy(inst)
+        return _shoot_greedy(inst)
     finally:
         sys.settrace(outer)
+
+
+def pure_solve(inst):
+    """``(mate, pairs, find steps)`` of the pure loop ``_shoot_greedy``; its
+    find steps are the line events of the step ``u = w`` in its frame."""
+    step = pure_line("u = w")
+    steps = 0
+
+    def count(frame):
+        nonlocal steps
+        steps += frame.f_lineno == step
+
+    m = traced_pure(inst, count)
     return m._mate, len(m), steps
 
 
@@ -132,16 +151,103 @@ def test_kernel_equals_pure_loop_with_find_steps():
         assert (mate, pairs, steps) == pure_solve(inst), name
     assert pure_solve(cases["every vertex free"])[1] == 0
     mate, pairs, steps = pure_solve(cases["queue emptied by a pop, then refilled"])
-    assert (list(mate), pairs, steps) == ([0, 2, 1, 4, 3, 0], 2, 4)
+    assert (list(mate), pairs, steps) == ([0, 2, 1, 4, 3, 0], 2, 3)
 
 
 def test_find_walks_are_compressed_on_a_path():
     """After halving its walk, a find points every link of the walk at
     the node where it stopped.  On dense at n = 2^15 halving alone takes
-    132791 find steps, 4.05 per ray; with the compression it is 3.00."""
+    104025 find steps, 3.17 per ray; with the compression it is 2.00."""
     inst = gen_dense(1 << 15)
     steps = pure_solve(inst)[2]
-    assert steps <= 3.1 * inst.n, f"{steps / inst.n:.2f} find steps per ray"
+    assert steps <= 2.1 * inst.n, f"{steps / inst.n:.2f} find steps per ray"
+
+
+def depth_stopped_solve(inst):
+    """``(mate, pairs)`` of an independent model of the find loop, which
+    stops each find by depth rather than at the top: a walk ends at a node
+    that holds a free vertex or is no deeper than the vertex's top.  Each
+    link is 0 until its node's first visit sets it to the parent, and a
+    walk halves only across nodes linked already."""
+    coords = checked_coordinates(inst)
+    order = bottom_up_order(inst, coords)
+    y, parent = coords.y, inst.tree._parent
+    link, head = [0] * len(parent), [0] * len(parent)
+    mate = array("q", [0]) * (inst.n + 1)
+    pairs = 0
+    for rank, v in enumerate(order, start=1):
+        top = inst.tops[v - 1]
+        best = rank
+        for start in inst.bottoms(v):
+            u = start
+            while not head[u] and y[u] > y[top]:
+                w = link[u]
+                w = link[u] = (link[w] or w) if w else parent[u]
+                u = w
+            w = start
+            while w != u and link[w] != u:
+                link[w], w = u, link[w]
+            if 0 < head[u] < best:
+                best = head[u]
+        if best < rank:
+            w = order[best - 1]
+            head[inst.tops[w - 1]] = 0
+            mate[w], mate[v] = v, w
+            pairs += 1
+        else:
+            head[top] = rank
+    return mate, pairs
+
+
+def assert_both_routes_equal_the_model(name, inst):
+    want = depth_stopped_solve(inst)
+    code, mate, pairs, _ = _kernel.solve(inst)
+    assert code == 0, name
+    assert (mate, pairs) == want, name
+    m = _shoot_greedy(inst)
+    assert (m._mate, len(m)) == want, name
+
+
+def assert_links_stay_in_the_top_subtree(inst):
+    """Run the pure loop, checking before each step ``u = w`` that the link
+    just set, w, lies in the subtree of the vertex's top, and so no
+    shallower than the top; and the same of the node each walk stopped
+    at, which the compression points the walk's links at."""
+    coords = checked_coordinates(inst)
+    x, y, r = coords.x, coords.y, coords.r
+    step, stopped = pure_line("u = w"), pure_line("if 0 < head[u] < best:")
+
+    def check(frame):
+        if frame.f_lineno in (step, stopped):
+            names = frame.f_locals
+            node, top = names["w" if frame.f_lineno == step else "u"], names["top"]
+            assert y[node] >= y[top], (node, top)
+            assert x[top] <= x[node] and r[node] <= r[top], (node, top)
+
+    traced_pure(inst, check)
+
+
+@needs_kernel
+def test_top_stopped_find_equals_a_depth_stopped_model():
+    """Both routes stop each find at its vertex's top, start every link at
+    the parent and halve across every dead node; their mates and pairs
+    must be the depth-stopped model's on the fast-loop corpus, on C6d's
+    families at n = 2^10..2^13, and on those families with shuffled node
+    ids, which the kernel reads with its depth-first pass."""
+    for name, inst in fast_loop_corpus():
+        assert_both_routes_equal_the_model(name, inst)
+    for name, make in GROWTH_FAMILIES.items():
+        for k in range(10, 14):
+            inst = make(1 << k)
+            assert_both_routes_equal_the_model(f"{name} 2^{k}", inst)
+            shuffled = relabeled(inst, k)
+            assert not topological(shuffled.tree)
+            assert_both_routes_equal_the_model(f"relabeled {name} 2^{k}", shuffled)
+
+
+def test_links_stay_in_the_top_subtree_on_the_corpus():
+    for name, inst in fast_loop_corpus(256):
+        assert_links_stay_in_the_top_subtree(inst)
 
 
 def common_ancestor(parent, depth, nodes):
@@ -213,6 +319,20 @@ def test_tree_pass_fuzz_on_topological_columns(inst):
     assert (code == 0) == (validate_instance(inst) == [])
     if code == 0:
         assert (mate, pairs, steps) == pure_solve(inst)
+
+
+@needs_kernel
+@settings(max_examples=400, deadline=None)
+@given(topological_instances())
+def test_top_stopped_find_equals_the_model_on_random_instances(inst):
+    """The same on random trees at delta 1 to 3, as generated and with
+    their node ids shuffled; and no link the pure walk sets, nor any node
+    a walk stops at, lies outside the vertex's top subtree."""
+    if validate_instance(inst):
+        return
+    for name, case in (("generated", inst), ("relabeled", relabeled(inst, 1))):
+        assert_both_routes_equal_the_model(name, case)
+        assert_links_stay_in_the_top_subtree(case)
 
 
 @needs_kernel
