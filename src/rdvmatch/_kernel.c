@@ -43,12 +43,14 @@
  * 64-bit record, so the find loop reads its vertices front to back,
  * prefetches the find records of the ranks a few ahead, and notes each
  * pair as two ranks; the mate array is written from them in one last
- * pass.  The find loop works over 8-byte {link, head} records, written
- * over the front half of the 16-byte node records once the vertex checks
- * have read those, so it reads no depth: every link starts at the parent,
- * and a find from bottom b stops at a node that holds a free vertex or at
- * b's top, which it never passes, since every link points at an ancestor
- * no shallower than the top it was set under and tops come in
+ * pass.  The solve reads the parent column in place and keeps one
+ * 12-byte record {depth, link, head} per node, and no other table per
+ * node: the counting sort's buckets lie over the front of the records once
+ * the vertex checks have read them, and then the find loop's 8-byte {link,
+ * head} records.  The find loop reads no depth: every link starts at the
+ * parent, and a find from bottom b stops at a node that holds a free
+ * vertex or at b's top, which it never passes, since every link points at
+ * an ancestor no shallower than the top it was set under and tops come in
  * non-increasing depth.  A find halves its path across every dead node
  * (below the top and empty, so empty for good), then points every link
  * of the walk at the node where it stopped (path compression).  Halving
@@ -89,15 +91,20 @@
 #endif
 
 /* One host-tree node, until the vertex checks are done: link and head
-   hold its preorder number and the last one in its subtree, and before
-   the depth-first pass head heads its list of children. */
+   hold its preorder number and the end of its subtree's interval, one past
+   its last preorder number.  On the way there, head holds the subtree's
+   size after the reverse scan, then the next free preorder slot; and on
+   the depth-first route it heads the node's list of children, while depth
+   holds the node's next sibling until the node is entered, then its
+   parent until it is left. */
 typedef struct {
-    int32_t parent, depth, link, head;
+    int32_t depth, link, head;
 } node_t;
 
 /* One node in the find loop, which reads both fields of every node it
-   visits and no other: 8 bytes, written over the front half of the node_t
-   table once the vertex checks are done.  link starts at the parent. */
+   visits and no other: 8 bytes, written over the front of the node_t
+   table once the vertex checks and the order are done.  link starts at
+   the parent. */
 typedef struct {
     int32_t link, head;
 } find_t;
@@ -154,7 +161,7 @@ static int scattered(int64_t n_nodes, int64_t n, const int32_t *tops,
    save. */
 static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
                           const int32_t *bots, int64_t n_bots, const int32_t *offsets,
-                          int64_t delta, const node_t *node, int32_t *aux,
+                          int64_t delta, const node_t *node, int32_t *bucket,
                           int32_t *order, int32_t *nxt, int64_t *mate, int ahead)
 {
     int64_t i, j;
@@ -186,7 +193,7 @@ static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
         for (j = lo; j < hi; j++) {
             int32_t b = bots[j];
             if (b < 1 || b > n_nodes || node[b].link < node[t].link
-                || node[b].link > node[t].head)
+                || node[b].link >= node[t].head)
                 return 0;
         }
         nxt[i + 1] = node[t].depth;
@@ -195,32 +202,33 @@ static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
     }
 
     /* bottom-up order: a counting sort on top depth, deepest first, and
-       ascending ids within a depth.  aux[d] counts the tops at depth d,
-       then holds the next rank of that depth.  Rank r gets its vertex in
-       order[r] and its record in mate[r]: its top in the high 32 bits,
-       and in the low ones its bottom, or with offsets its vertex.  The
+       ascending ids within a depth.  bucket[d] counts the tops at depth
+       d, then holds the next rank of that depth; the buckets may lie over
+       the node records, which are not read from here on.  Rank r gets its
+       vertex in order[r] and its record in mate[r]: its top in the high 32
+       bits, and in the low ones its bottom, or with offsets its vertex.  The
        slot the vertex AHEAD places on will take is the next rank of its
        depth as it stands now: exact when no vertex between shares that
        depth, as on a comb, and a rank of 1..n always. */
     for (i = 0; i <= deepest; i++)
-        aux[i] = 0;
+        bucket[i] = 0;
     for (i = 1; i <= n; i++)
-        aux[nxt[i]]++;
+        bucket[nxt[i]]++;
     int32_t next = 1;
     for (i = deepest; i >= 0; i--) {
-        int32_t tops_here = aux[i];
-        aux[i] = next;
+        int32_t tops_here = bucket[i];
+        bucket[i] = next;
         next += tops_here;
     }
     for (i = 1; i <= n; i++) {
 #if defined(__GNUC__)
         if (ahead && i + AHEAD <= n) {
-            int32_t slot = aux[nxt[i + AHEAD]];
+            int32_t slot = bucket[nxt[i + AHEAD]];
             __builtin_prefetch(&order[slot], 1);
             __builtin_prefetch(&mate[slot], 1);
         }
 #endif
-        int32_t rank = aux[nxt[i]]++;
+        int32_t rank = bucket[nxt[i]]++;
         order[rank] = (int32_t)i;
         mate[rank] = (int64_t)((uint64_t)tops[i - 1] << 32
                                | (uint64_t)(offsets ? i : bots[i - 1]));
@@ -235,16 +243,16 @@ static int order_vertices(int64_t n_nodes, int64_t n, const int32_t *tops,
  *
  * n_nodes, parent[n_nodes + 1]:
  *     rdvmatch.core.HostTree's parent column (parent[0] == 0; 0 marks a
- *     root).  Where the depth-first pass needs them, the kernel links each
- *     node's children itself.
+ *     root), read in place and never written.  Where the depth-first pass
+ *     needs them, the kernel links each node's children itself.
  * n, tops[n], bots[n_bots], offsets[n + 1] or NULL, delta:
  *     the vertex columns of rdvmatch.core.RdvInstance; with no offsets,
  *     vertex v has the one bottom bots[v - 1].
- * node[n_nodes + 1], aux[n_nodes + 1], order[n + 1], nxt[n + 1]:
- *     zeroed work tables.  The find loop reuses the front half of node as
- *     its find_t records.  order[r] is the vertex of rank r; nxt holds the
- *     depth of each vertex's top, then each matched rank's partner rank,
- *     negated.
+ * node[n_nodes + 1], order[n + 1], nxt[n + 1]:
+ *     zeroed work tables.  The counting sort's buckets, then the find
+ *     loop's find_t records, lie over the front of node.  order[r] is the
+ *     vertex of rank r; nxt holds the depth of each vertex's top, then each
+ *     matched rank's partner rank, negated.
  * mate[n + 1]: zeroed; it holds each rank's record until the last pass,
  *     and on success vertex v is matched to mate[v], or free (0).
  * steps[3]: each step of a find's halving walk is added to steps[0], each
@@ -255,8 +263,7 @@ ALIGNED
 int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
               const int32_t *tops, const int32_t *bots, int64_t n_bots,
               const int32_t *offsets, int64_t delta, node_t *node,
-              int32_t *aux, int32_t *order, int32_t *nxt, int64_t *mate,
-              int64_t *steps)
+              int32_t *order, int32_t *nxt, int64_t *mate, int64_t *steps)
 {
     int64_t i, j;
     int32_t v;
@@ -269,91 +276,98 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
         int32_t p = parent[i];
         if (p < 0 || p > n_nodes)
             return BAD_TREE;
-        node[i].parent = p;
         topological &= i == 1 || (p >= 1 && p < i);
     }
 
     if (topological) {
         /* depth and preorder interval of every node in two linear scans,
            whose random reads are independent of each other.  The reverse
-           scan puts each subtree's size into aux.  The forward scan meets
+           scan puts each subtree's size into head.  The forward scan meets
            every parent before its children, and each child, in id order,
-           takes the next free preorder slot of its parent, kept in aux:
-           the depth-first pass's intervals, with children in file order.
-           On a path or a caterpillar a node's parent is mostly the node
-           scanned just before it, so both scans carry that node's values
-           in registers instead of reading back the store just made.  The
-           reverse scan owes the sizes of a run of siblings to their parent
-           q and adds them when the parent changes, or into q's own size
-           when the scan reaches q; node 1's size is n_nodes, so its sum is
-           never added. */
+           takes the next free preorder slot of its parent, kept in the
+           parent's head, and moves it on by its own size, so that head
+           ends one past the subtree's last slot: the depth-first pass's
+           intervals, with children in file order.  On a path or a
+           caterpillar a node's parent is mostly the node scanned just
+           before it, so both scans carry that node's values in registers
+           instead of reading back the store just made.  The reverse scan
+           owes the sizes of a run of siblings to their parent q and adds
+           them when the parent changes, or into q's own size when the scan
+           reaches q; node 1's size is n_nodes, so its sum is never
+           added. */
         int32_t q = 0, owed = 0;
         for (i = n_nodes; i >= 2; i--) {
-            int32_t p = node[i].parent, size = aux[i] + 1;
+            int32_t p = parent[i], size = node[i].head + 1;
             if (p != q) {
                 if (i == q)
                     size += owed;
                 else
-                    aux[q] += owed;
+                    node[q].head += owed;
                 q = p;
                 owed = 0;
             }
             owed += size;
-            aux[i] = size;
+            node[i].head = size;
         }
         node[1].link = 1;
-        node[1].head = (int32_t)n_nodes;
-        aux[1] = 2;
+        node[1].head = 2;
         /* the next free slot and the depth of node i - 1 */
         int32_t free_slot = 2, depth = 0;
         for (i = 2; i <= n_nodes; i++) {
-            int32_t p = node[i].parent, size = aux[i], slot;
+            int32_t p = parent[i], size = node[i].head, slot;
             if (p == i - 1) {
                 slot = free_slot;
             } else {
-                slot = aux[p];
+                slot = node[p].head;
                 depth = node[p].depth;
             }
-            aux[p] = slot + size;
+            node[p].head = slot + size;
             node[i].depth = ++depth;
             node[i].link = slot;
-            node[i].head = slot + size - 1;
-            aux[i] = free_slot = slot + 1;
+            node[i].head = free_slot = slot + 1;
         }
     } else {
         /* any other column: each node goes in front of its parent's list
-           of children (head, then aux per sibling), so lists come out in
+           of children (head, then depth per sibling), so lists come out in
            file order; node 0 heads the list of roots, which must hold one
            node. */
         for (i = n_nodes; i >= 1; i--) {
-            int32_t p = node[i].parent;
-            aux[i] = node[p].head;
+            int32_t p = parent[i];
+            node[i].depth = node[p].head;
             node[p].head = (int32_t)i;
         }
         int32_t root = node[0].head;
-        if (!root || aux[root])
+        if (!root || node[root].depth)
             return BAD_TREE;
 
         /* one depth-first pass from the root: depth and preorder interval
            of every node.  While v is on the path, its head is the next
-           child to enter.  Every node sits on one list, its parent's, so
-           it is entered at most once and the walk ends even on a parent
-           cycle; every node entered means every node is reachable. */
-        int32_t seen = 1;
+           child to enter, and its depth field holds its parent, so that
+           the step back up reads the record it has just read, not the
+           parent column; the depth of v is carried in a register and
+           stored when v is left.  A child's sibling is read from its depth
+           field before the child is entered.  Every node sits on one
+           list, its parent's, so it is entered at most once and the walk
+           ends even on a parent cycle; every node entered means every node
+           is reachable.  The root's field holds 0, as its check found. */
+        int32_t seen = 1, depth = 0;
         v = root;
         node[v].link = seen;
         for (;;) {
             int32_t c = node[v].head;
             if (c) {
-                node[v].head = aux[c];
-                node[c].depth = node[v].depth + 1;
+                node[v].head = node[c].depth;
+                node[c].depth = v;
                 node[c].link = ++seen;
                 v = c;
+                depth++;
             } else {
-                node[v].head = seen;
+                int32_t up = node[v].depth;
+                node[v].head = seen + 1;
+                node[v].depth = depth--;
                 if (v == root)
                     break;
-                v = node[v].parent;
+                v = up;
             }
         }
         if (seen != n_nodes)
@@ -366,26 +380,28 @@ int rdv_solve(int64_t n_nodes, const int32_t *parent, int64_t n,
     /* the vertex checks and the bottom-up order (order_vertices), after
        the offsets' ends: they start at 0 and end at n_bots.  Whether the
        order scatters the vertex columns, and so whether they prefetch
-       ahead, is decided once, from a sample. */
+       ahead, is decided once, from a sample.  The order's buckets,
+       deepest + 1 <= n_nodes int32 slots, lie over the front of the node
+       records: the vertex checks have read the records when the buckets
+       are first written. */
     if (offsets && (offsets[0] != 0 || offsets[n] != n_bots))
         return BAD_VERTEX;
     if (!offsets && n_bots != n)
         return BAD_VERTEX;
     int ahead = scattered(n_nodes, n, tops, node);
     steps[2] = ahead;
-    if (!order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node, aux,
-                        order, nxt, mate, ahead))
+    if (!order_vertices(n_nodes, n, tops, bots, n_bots, offsets, delta, node,
+                        (int32_t *)(void *)node, order, nxt, mate, ahead))
         return BAD_VERTEX;
     memset(nxt, 0, (size_t)(n + 1) * sizeof *nxt);
 
-    /* the find records over the front half of node, in ascending ids:
-       record i, {link = parent, head = 0}, takes bytes [8i, 8i + 8), where
-       node records 0 to i / 2 lay, read already, and node i's parent has
-       just been read.  memcpy stores them, so that no access as find_t is
-       taken to be apart from one as node_t by their types alone. */
+    /* the find records over the front of node, {link = parent, head = 0}
+       each, in bytes [8i, 8i + 8) for node i.  memcpy stores them, so that
+       no access as find_t is taken to be apart from one as node_t by their
+       types alone. */
     find_t *rec = (find_t *)(void *)node;
     for (i = 0; i <= n_nodes; i++) {
-        find_t r = {node[i].parent, 0};
+        find_t r = {parent[i], 0};
         memcpy((char *)node + (size_t)i * sizeof r, &r, sizeof r);
     }
 

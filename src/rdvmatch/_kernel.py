@@ -40,11 +40,14 @@ comb whose vertex ids permute its spine.  Every id is range-checked
 before an address is formed from it, and where ``__GNUC__`` is not
 defined there are no prefetches, as in the find loop.  Until its last
 pass the mate array holds each rank's packed top and bottom
-(or vertex), so the find loop reads them front to back.  It works over
-8-byte ``{link, head}`` records, which the kernel writes over the front
-half of the node records once the vertex checks have read them: each
-link starts at the node's parent, and a node holds at most one free
-vertex, by rank.  Each find stops at a node that holds a free vertex or
+(or vertex), so the find loop reads them front to back.  The kernel
+reads the parent column in place and keeps one 12-byte record ``{depth,
+link, head}`` per node, where ``head`` ends as one past the node's last
+preorder number; the counting sort's buckets and then the find loop's
+8-byte ``{link, head}`` records lie over the front of that table once
+the vertex checks have read it: each link starts at the node's parent,
+and a node holds at most one free vertex, by rank.  Each find stops at
+a node that holds a free vertex or
 at its vertex's top, which it never passes, so it reads no depth; it
 halves its path across every dead node (below the top and empty, so
 empty for good) and then compresses it, pointing every link of the
@@ -70,10 +73,10 @@ why, and every parse and solve takes the pure route.
 Every column and table the kernel writes is allocated here, so
 tracemalloc counts it: the parsed columns and the work tables as
 ``array('i')``, and the mate array, which holds 64-bit records until the
-solve's last pass, as ``array('q')``.  The solve works in, per node, one
-16-byte record ``{parent, depth, link, head}``, whose table's front half
-the find loop reuses for its 8-byte records, plus one int32 (``aux``),
-both in one allocation, and per vertex two int32 and the int64 mate.
+solve's last pass, as ``array('q')``.  The solve works in one 12-byte
+node record per node and, per vertex, two int32 and the int64 mate:
+12 bytes per node and 16 per vertex, and nothing else per node.  The
+node records and the two int32 tables share one allocation.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ BUILD_TIMEOUT_S = 120
 
 REFUSED = -1  # the code of a refusal made before the kernel runs
 _LIMIT = 2**31 - 1  # counts and ids must stay below this to fit an int32
-_NODE_FIELDS = 4  # parent, depth, link, head
+_NODE_FIELDS = 3  # depth, link, head
 
 
 def _build(command: list[str], path: str) -> None:
@@ -157,7 +160,7 @@ def _load() -> tuple[ctypes.PyDLL | None, str | None]:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.rdv_parse.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
     lib.rdv_parse.restype = ctypes.c_int
-    lib.rdv_solve.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.rdv_solve.argtypes = [i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
     lib.rdv_solve.restype = ctypes.c_int
     return lib, None
 
@@ -265,18 +268,19 @@ def _solve(inst) -> tuple[int, array | None, array]:
         or (offsets is not None and len(offsets) != n + 1)
     ):
         return REFUSED, None, steps
-    # node's records, then aux, in one allocation: freed as two, the tables
-    # of perfbench's comb solve were trimmed off the top of glibc's heap in
-    # some heap layouts, and the next solve faulted them in again
-    node = _zeros((_NODE_FIELDS + 1) * (n_nodes + 1))
-    aux = _address(node) + 4 * _NODE_FIELDS * (n_nodes + 1)
-    order = _zeros(n + 1)
-    nxt = _zeros(n + 1)
+    # node, order and nxt in one allocation, on one node per vertex as
+    # large as the 20-byte node records were: glibc raises its trim
+    # threshold to the largest block freed, and with smaller blocks the
+    # heap top of perfbench's processes was trimmed between rounds more
+    # often, so that the next solve faulted its tables in again
+    tables = _zeros(_NODE_FIELDS * (n_nodes + 1) + 2 * (n + 1))
+    node = _address(tables)
+    order = node + 4 * _NODE_FIELDS * (n_nodes + 1)
+    nxt = order + 4 * (n + 1)
     mate = array("q", [0]) * (n + 1)
     code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
         None if offsets is None else _address(offsets), delta,
-        _address(node), aux, _address(order), _address(nxt),
-        _address(mate), _address(steps),
+        node, order, nxt, _address(mate), _address(steps),
     )
     return code, mate, steps

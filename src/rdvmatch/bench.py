@@ -8,8 +8,9 @@ greedy across doubling instance sizes and emits CSV rows; growth ratios
 across doublings are the machine-independent way to see that run time
 tracks the vertex count, not the edge count.  Each row also times the
 parse of the instance's text, and counts the minor page faults of a
-solve and the native kernel's find steps per ray, counts that do not
-drift with the machine's speed.
+solve, the native kernel's find steps per ray and the bytes per vertex
+of its work tables, counts that do not drift with the machine's
+speed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import io as _io
 import statistics
 import time
+import tracemalloc
 from array import array
 from dataclasses import asdict, dataclass, fields
 
@@ -34,7 +36,8 @@ except ImportError:  # not on every platform
     resource = None
 
 NOT_MATERIALIZED = "not materialized"
-# minor faults where getrusage is missing, find steps on the pure route
+# minor faults where getrusage is missing, find steps and table bytes on
+# the pure route
 NOT_COUNTED = "not counted"
 
 # oracle edge counting is quadratic; skip it above this size
@@ -53,6 +56,7 @@ class BenchRecord:
     seed: int
     minor_faults: int | str
     find_steps: float | str
+    table_bytes: float | str
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRecord)]
@@ -175,8 +179,10 @@ def bench_sweep(
     find steps (:func:`rdvmatch._kernel.solve`) over the instance's rays,
     one per bottom, from one more solve outside the timed ones, or
     :data:`NOT_COUNTED` where the kernel does not solve the instance, as
-    on the pure route.  Edge counts are materialized through the oracle
-    only at small sizes.
+    on the pure route.  ``table_bytes`` is the tracemalloc peak of that
+    same solve per vertex: the kernel's work tables and the mate array,
+    or :data:`NOT_COUNTED` with ``find_steps``.  Edge counts are
+    materialized through the oracle only at small sizes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -196,7 +202,7 @@ def bench_sweep(
             times.append(time.perf_counter_ns() - t0)
             faults.append(_minor_faults() - f0)
             size = len(matching)
-        code, _, _, steps = _kernel.solve(inst)
+        (code, _, _, steps), peak = _traced(_kernel.solve, inst)
         text = write_instance(inst)
         parse_instance(text)  # warmup
         parse_times: list[int] = []
@@ -221,9 +227,26 @@ def bench_sweep(
                 seed=inst_seed,
                 minor_faults=int(statistics.median(faults)) if resource else NOT_COUNTED,
                 find_steps=round(steps / len(inst.bots), 2) if code == 0 else NOT_COUNTED,
+                table_bytes=round(peak / n, 1) if code == 0 else NOT_COUNTED,
             )
         )
     return records
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call, in bytes above
+    what was traced when it began; a trace already running goes on."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _minor_faults() -> int:
@@ -236,7 +259,8 @@ def records_to_csv(records: list[BenchRecord], repeats: int) -> str:
     buf.write(
         f"# median wall-clock ns and minor page faults over {repeats} repeats; "
         "median_ns excludes generation and parsing, parse_ns parses the written instance; "
-        "find_steps counts the kernel's find steps per ray\n"
+        "find_steps counts the kernel's find steps per ray, "
+        "table_bytes the bytes per vertex of its tables\n"
     )
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()

@@ -27,9 +27,11 @@ reads them before the checks do) and the tokenizer against the
 Python parser (its byte-level fuzz feeds
 cut and byte-flipped texts in exactly sized buffers, and its split-fill
 tests feed texts large enough that the parse fills their two parts on
-two threads, where the process may run on more than one CPU), and C6d of
-``tests/test_acceptance.py``, which bounds the find steps on five tree
-families up to n = 2^16.  The pytest arguments go to every variant's
+two threads, where the process may run on more than one CPU), and its
+table test pins the solve's tracemalloc peak to 12 bytes per node and
+16 per vertex; and C6d and C6e of ``tests/test_acceptance.py``, which
+bound the find steps on five tree families up to n = 2^16 and the
+native route's peak bytes per vertex.  The pytest arguments go to every variant's
 run.  A warning fails its build, and the run names the compiler's first
 error line; a failed build, a failed test or a sanitizer report makes
 the exit code nonzero.
@@ -67,6 +69,8 @@ TESTS = [
     os.path.join(REPO, "tests", "test_kernel.py"),
     # five families up to n = 2^16, path trees among them
     os.path.join(REPO, "tests", "test_acceptance.py") + "::test_c6d_find_step_growth_ratio",
+    # the native route's peak bytes per vertex at delta 1 and 2
+    os.path.join(REPO, "tests", "test_acceptance.py") + "::test_c6e_native_peak_memory_per_vertex",
 ]
 # one variant's process: its name, then the pytest arguments
 CHILD = "import sys, kernel_builds; sys.exit(kernel_builds.run_tests(sys.argv[1], sys.argv[2:]))"

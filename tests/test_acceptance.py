@@ -363,7 +363,7 @@ def _peak_bytes_per_vertex(delta, pure):
     return peak / n
 
 
-# bytes per vertex of the peak at delta 1: 48 on the native route, where
+# bytes per vertex of the peak at delta 1: 40 on the native route, where
 # the kernel's 32-bit columns and tables set it, and 174 on the pure route
 # (no C compiler), where the Python parser's own peak sets it; the
 # instance model of tuples per vertex and per node measured 490.  One
@@ -386,17 +386,19 @@ def test_c6c_peak_memory_per_vertex(route):
     print(f"ACCEPTANCE C6c peak memory: PASS ({route}, {per_vertex:.0f} bytes/vertex)")
 
 
-# the native route's own bound per delta: 32-bit columns and tables
-# measured 48.3 and 53.1 bytes per vertex, 64-bit columns 60.3 and 69.9
-NATIVE_PEAK_BYTES_PER_VERTEX = {1: 52, 2: 58}
+# the native route's own bound per delta: 32-bit columns and 12-byte node
+# records measured 40.2 and 45.1 bytes per vertex, 20 bytes per node 48.3
+# and 53.1, 64-bit columns 60.3 and 69.9
+NATIVE_PEAK_BYTES_PER_VERTEX = {1: 44, 2: 49}
 
 
 @needs_kernel
 @pytest.mark.parametrize("delta", NATIVE_PEAK_BYTES_PER_VERTEX)
 def test_c6e_native_peak_memory_per_vertex(delta):
     """C6e: on the native route, parsing and solving a random instance
-    at n = 2^13 peaks at <= 52 bytes per vertex at delta 1 and <= 58 at
-    delta 2, which 32-bit columns keep and 64-bit ones do not."""
+    at n = 2^13 peaks at <= 44 bytes per vertex at delta 1 and <= 49 at
+    delta 2, which 32-bit columns and 12-byte node records keep, and
+    64-bit columns or 20 bytes per node do not."""
     bound = NATIVE_PEAK_BYTES_PER_VERTEX[delta]
     per_vertex = _peak_bytes_per_vertex(delta, pure=False)
     assert per_vertex <= bound, f"delta {delta}: {per_vertex:.1f} bytes per vertex, over {bound}"

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -183,6 +184,25 @@ class TestBenchSweep:
                 inst = bench._bench_instance(family, 1 << 10, record.seed)
                 steps = _kernel.solve(inst)[3]
                 assert steps > 0 and record.find_steps == round(steps / len(inst.bots), 2)
+
+    def test_table_bytes_per_vertex(self):
+        """The kernel's tables per vertex on the native route: a 12-byte
+        record per node and 16 bytes per vertex, with a little slack for
+        the call itself; comb has two nodes per vertex.  A marker on the
+        pure route, and the same bounds under a trace already running."""
+        for family, nodes_per_vertex in (("comb", 2), ("random", 1)):
+            (record,) = bench_sweep(family, range(10, 11), repeats=1)
+            if _kernel.kernel is None:
+                assert record.table_bytes == NOT_COUNTED
+                continue
+            tables = 12 * nodes_per_vertex + 16
+            assert tables <= record.table_bytes <= tables + 4, record.table_bytes
+            tracemalloc.start()
+            try:
+                (traced,) = bench_sweep(family, range(10, 11), repeats=1)
+            finally:
+                tracemalloc.stop()
+            assert tables <= traced.table_bytes <= tables + 4, traced.table_bytes
 
     def test_comb_family_is_edgeless(self):
         records = bench_sweep("comb", range(3, 5), repeats=1)

@@ -582,6 +582,38 @@ def test_native_solve_builds_no_children_table(shape):
     assert texts[0] == texts[1] and texts[0].startswith("matching")
 
 
+# what the solve allocates besides its tables: the array headers, the
+# steps counters and the ctypes call, 1.5 KiB when measured
+TABLE_SLACK_BYTES = 4096
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: gen_comb(n, 3), _random(2)],
+    ids=["comb", "random delta=2"],
+)
+def test_solve_tables_take_12_bytes_per_node_and_16_per_vertex(make):
+    """The native solve's tracemalloc peak is its work tables alone: one
+    12-byte record per node, and per vertex the int32 ``order`` and
+    ``nxt`` slots and the int64 ``mate`` record.  The parent column is
+    read in place, so no copy of it is counted, and there is no other
+    table per node.  Comb has two nodes per vertex, so a byte more per
+    node shows there twice.  The parsed instance's columns are int32, so
+    none is narrowed by a copy."""
+    inst = parse_instance(write_instance(make(4096)))
+    _kernel._solve(inst)  # anything the first call allocates once
+    tracemalloc.start()
+    try:
+        code = _kernel._solve(inst)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    tables = 12 * (inst.tree.node_count + 1) + 16 * (inst.n + 1)
+    assert tables <= peak <= tables + TABLE_SLACK_BYTES, (peak, tables)
+
+
 @pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
 def test_entry_point_errors_keep_their_precedence(pure):
     """An invalid instance raises InvalidInstanceError before
