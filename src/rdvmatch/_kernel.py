@@ -1,64 +1,32 @@
 """The native routes: ``_kernel.c``, built at import and called through ctypes.
 
-:func:`parse` reads instance text in the canonical form that
-:func:`rdvmatch.io.write_instance` writes straight into ``array('i')``
-columns, in two C calls over the ``str``'s own bytes, which an ASCII
-``str`` hands out without a copy.  The first reads the three header
-integers and counts spaces and newlines, which size every column
-exactly, and picks a line start near the middle of the text where the
-second call splits it, with the vertices and bottoms before it.  After
-the columns are allocated from those counts, the second checks every
-record as it fills them, 64 bytes at a time, and takes ids of 1 to 10
-unsigned digits up to 2**31 - 1, the largest an int32 column holds; the
-first refuses a text of 2**31 - 1 nodes or bottoms or more, before
-anything is allocated.  From 1 MiB of text on, where the process may
-run on more than one CPU, it fills the two parts at once, the first on
-a helper thread that it joins before it returns; each part checks its
-own lines exactly, so the columns and the texts taken are those of one
-scan.  The parent column comes out as :class:`rdvmatch.core.HostTree`
-keeps it, slot 0 included, so the tree adopts it as it is.  The kernel
-refuses every other text, a signed id, an 11-digit one or one above
-2**31 - 1 included, and :func:`rdvmatch.io.parse_instance` then runs the
-Python parser, so every instance and every format error is the Python
-parser's by construction.
+The header of ``_kernel.c`` says what its two functions compute and how.
+This module builds them, decides what they may be given, and allocates
+every column and table they write, so that tracemalloc counts it.
 
-:func:`solve` validates an instance, orders its vertices and runs the
-find loop of :func:`rdvmatch.matching._shoot_greedy` in one C call over
-the tree's parent column and the vertex columns, all ``array('i')``, and
-returns the mate array and its number of pairs.  A column that is an
-array of another integer typecode is narrowed with one copy, and the
-instance refused when a value does not fit in 32 bits.  On a topological
-parent column (node 1 the root, every other node after its parent) the
-kernel reads the tree with two linear scans, which carry the node just
-scanned in registers for the child that follows it; on any other column
-it links each node's children itself and walks them depth first.  The
-vertex checks and the counting sort that orders the vertices bottom-up
-prefetch the node records and the rank slots of the vertex 16 ahead
-when a sample of 64 pairs of neighbouring vertices, taken once per
-solve, finds at least half with tops more than 16 levels apart, as on a
-comb whose vertex ids permute its spine.  Every id is range-checked
-before an address is formed from it, and where ``__GNUC__`` is not
-defined there are no prefetches, as in the find loop.  Until its last
-pass the mate array holds each rank's packed top and bottom
-(or vertex), so the find loop reads them front to back.  The kernel
-reads the parent column in place and keeps one 12-byte record ``{depth,
-link, head}`` per node, where ``head`` ends as one past the node's last
-preorder number; the counting sort's buckets and then the find loop's
-8-byte ``{link, head}`` records lie over the front of that table once
-the vertex checks have read it: each link starts at the node's parent,
-and a node holds at most one free vertex, by rank.  Each find stops at
-a node that holds a free vertex or
-at its vertex's top, which it never passes, so it reads no depth; it
-halves its path across every dead node (below the top and empty, so
-empty for good) and then compresses it, pointing every link of the
-walk at the node where it stopped, so it costs at most twice its
-counted halving steps, which are ``O(log |T|)`` amortized (Tarjan & van
-Leeuwen 1984).  The loop notes each pair as two ranks, and the last
-pass writes the mate array from them.  It refuses, with a nonzero code, whatever it cannot take as it
-is: an instance validation would reject, a list column (an id beyond 32
-bits), a node or vertex count of 2**31 - 1 or more, or columns whose
-lengths disagree.  The entry points then run the pure route, so every
-matching and every error text is the pure route's by construction.
+:func:`parse` hands the kernel an ASCII ``str``'s own bytes, which
+``PyUnicode_AsUTF8AndSize`` returns without a copy, in two calls.  The
+first counts the records, and refuses a count of 2**31 - 1 nodes or
+bottoms or more; the columns are allocated from those counts as
+``array('i')``, and the second call fills them, the parent column with
+its slot 0, as :class:`rdvmatch.core.HostTree` keeps it.  The kernel
+refuses every text but the canonical form that
+:func:`rdvmatch.io.write_instance` writes with ids below 2**31, and
+:func:`rdvmatch.io.parse_instance` then runs the Python parser, so every
+instance and every format error is the Python parser's by construction.
+
+:func:`solve` is the native route of :func:`rdvmatch.matching._solve`,
+whose docstring states the contract both routes keep.  It passes the
+tree's parent column and the vertex columns as ``array('i')``, an array
+of another integer typecode narrowed with one copy.  Before the call it
+refuses a list column, a value beyond 32 bits, a node or vertex count of
+2**31 - 1 or more, and columns whose lengths disagree; ``delta`` goes in
+clamped to ``0..2**31 - 1``, since no vertex can have that many bottoms,
+and the kernel itself refuses ``delta < 1`` and whatever else validation
+would reject.  The solve allocates one 12-byte record per node and, in
+the same allocation, the int32 ``order`` and ``nxt`` slots per vertex,
+and the ``array('q')`` mate array, which holds a 64-bit record per rank
+until the solve's last pass: 12 bytes per node and 16 per vertex.
 
 Importing this module builds the kernel once per source and compiler:
 the platform's C compiler (``sysconfig``'s ``CC``), which must take
@@ -69,14 +37,6 @@ file.  Where that directory is not writable, the build goes to a
 temporary directory and is loaded from there.  Without a compiler, or
 when the build fails, :data:`kernel` is None, :data:`LOAD_ERROR` says
 why, and every parse and solve takes the pure route.
-
-Every column and table the kernel writes is allocated here, so
-tracemalloc counts it: the parsed columns and the work tables as
-``array('i')``, and the mate array, which holds 64-bit records until the
-solve's last pass, as ``array('q')``.  The solve works in one 12-byte
-node record per node and, per vertex, two int32 and the int64 mate:
-12 bytes per node and 16 per vertex, and nothing else per node.  The
-node records and the two int32 tables share one allocation.
 """
 
 from __future__ import annotations
@@ -234,28 +194,14 @@ def _parse_bytes(data, size: int) -> tuple[array, array, array, array | None, in
     return None if code else (parents, tops, bots, offsets, delta)
 
 
-def solve(inst) -> tuple[int, array | None, int, int]:
-    """``(code, mate, pairs, find steps)`` of the native solve of ``inst``.
-
-    Code 0: the instance is well-formed, ``mate`` is the mate array of
-    :func:`rdvmatch.matching._shoot_greedy`'s matching and ``pairs`` its
-    number of pairs.  Any other code is a refusal, and ``mate`` is None.
-    The steps count every step of every find's halving walk, not of the
-    compression walk after it (0 when refused).
-    """
-    code, mate, steps = _solve(inst)
-    return code, (mate if code == 0 else None), steps[1], steps[0]
-
-
-def _solve(inst) -> tuple[int, array | None, array]:
-    """``(code, mate, steps)``: the kernel's code and mate array, and its
-    counters: find steps, pairs, and 1 when the vertex checks and the
-    order prefetched (0 when they did not, or when the kernel refused the
-    instance before they ran)."""
+def solve(inst) -> tuple[int, array | None, array]:
+    """``(code, mate, steps)``: code 0 and the ``(mate, steps)`` of
+    :func:`rdvmatch.matching._solve`, or the nonzero code of a refusal,
+    with the steps of whatever ran and no matching."""
     steps = array("q", [0, 0, 0])
     tree = inst.tree
-    n_nodes, n, delta = tree.node_count, len(inst.tops), inst.delta
-    if kernel is None or not (n_nodes < _LIMIT and n < _LIMIT and -_LIMIT < delta < _LIMIT):
+    n_nodes, n = tree.node_count, len(inst.tops)
+    if kernel is None or not (n_nodes < _LIMIT and n < _LIMIT):
         return REFUSED, None, steps
     parent, tops, bots = map(_int32_column, (tree._parent, inst.tops, inst.bots))
     offsets = None if inst.offsets is None else _int32_column(inst.offsets)
@@ -280,7 +226,7 @@ def _solve(inst) -> tuple[int, array | None, array]:
     mate = array("q", [0]) * (n + 1)
     code = kernel.rdv_solve(
         n_nodes, _address(parent), n, _address(tops), _address(bots), len(bots),
-        None if offsets is None else _address(offsets), delta,
+        None if offsets is None else _address(offsets), min(max(inst.delta, 0), _LIMIT),
         node, order, nxt, _address(mate), _address(steps),
     )
     return code, mate, steps

@@ -8,9 +8,8 @@ greedy across doubling instance sizes and emits CSV rows; growth ratios
 across doublings are the machine-independent way to see that run time
 tracks the vertex count, not the edge count.  Each row also times the
 parse of the instance's text, and counts the minor page faults of a
-solve, the native kernel's find steps per ray and the bytes per vertex
-of its work tables, counts that do not drift with the machine's
-speed.
+solve, its find steps per ray and the bytes per vertex it allocates,
+counts that do not drift with the machine's speed.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ import tracemalloc
 from array import array
 from dataclasses import asdict, dataclass, fields
 
-from . import _kernel
 from .core import Matching, RdvInstance, bottom_up_order, oracle_adjacency
 from .gen import GenConfig, gen_comb, gen_dense, gen_random
 from .geometry import assign_coordinates
 from .io import parse_instance, write_instance
-from .matching import delayed_greedy, greedy_reference, maximum_matching_oracle
+from .matching import _solve, delayed_greedy, greedy_reference, maximum_matching_oracle
 
 try:
     import resource
@@ -36,8 +34,7 @@ except ImportError:  # not on every platform
     resource = None
 
 NOT_MATERIALIZED = "not materialized"
-# minor faults where getrusage is missing, find steps and table bytes on
-# the pure route
+# minor faults where getrusage is missing
 NOT_COUNTED = "not counted"
 
 # oracle edge counting is quadratic; skip it above this size
@@ -55,8 +52,8 @@ class BenchRecord:
     matching_size: int
     seed: int
     minor_faults: int | str
-    find_steps: float | str
-    table_bytes: float | str
+    find_steps: float
+    table_bytes: float
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRecord)]
@@ -175,14 +172,13 @@ def bench_sweep(
     stands between two of them.  ``minor_faults``
     is the median of each run's minor page faults (``ru_minflt`` of
     ``resource.getrusage``), or :data:`NOT_COUNTED` where the platform has
-    no ``resource`` module.  ``find_steps`` is the native kernel's count of
-    find steps (:func:`rdvmatch._kernel.solve`) over the instance's rays,
-    one per bottom, from one more solve outside the timed ones, or
-    :data:`NOT_COUNTED` where the kernel does not solve the instance, as
-    on the pure route.  ``table_bytes`` is the tracemalloc peak of that
-    same solve per vertex: the kernel's work tables and the mate array,
-    or :data:`NOT_COUNTED` with ``find_steps``.  Edge counts are
-    materialized through the oracle only at small sizes.
+    no ``resource`` module.  ``find_steps`` is the find-step count of
+    :func:`rdvmatch.matching._solve`, whose contract it follows on either
+    route, per ray (one per bottom), from one more solve outside the timed
+    ones.  ``table_bytes`` is the tracemalloc peak of that same solve per
+    vertex: on the native route the kernel's work tables and the mate
+    array.  Edge counts are materialized through the oracle only at small
+    sizes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -202,7 +198,7 @@ def bench_sweep(
             times.append(time.perf_counter_ns() - t0)
             faults.append(_minor_faults() - f0)
             size = len(matching)
-        (code, _, _, steps), peak = _traced(_kernel.solve, inst)
+        (_, steps), peak = _traced(_solve, inst)
         text = write_instance(inst)
         parse_instance(text)  # warmup
         parse_times: list[int] = []
@@ -226,8 +222,8 @@ def bench_sweep(
                 matching_size=size,
                 seed=inst_seed,
                 minor_faults=int(statistics.median(faults)) if resource else NOT_COUNTED,
-                find_steps=round(steps / len(inst.bots), 2) if code == 0 else NOT_COUNTED,
-                table_bytes=round(peak / n, 1) if code == 0 else NOT_COUNTED,
+                find_steps=round(steps[0] / len(inst.bots), 2),
+                table_bytes=round(peak / n, 1),
             )
         )
     return records
@@ -259,8 +255,8 @@ def records_to_csv(records: list[BenchRecord], repeats: int) -> str:
     buf.write(
         f"# median wall-clock ns and minor page faults over {repeats} repeats; "
         "median_ns excludes generation and parsing, parse_ns parses the written instance; "
-        "find_steps counts the kernel's find steps per ray, "
-        "table_bytes the bytes per vertex of its tables\n"
+        "find_steps counts the find steps per ray of one more solve (rdvmatch.matching._solve), "
+        "table_bytes its traced bytes per vertex\n"
     )
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()

@@ -9,9 +9,10 @@ Four routes to a matching:
   general ray-shooting index, and each vertex shoots one upward ray per
   bottom node.  It is kept as the reference for the fast loop.
 * :func:`delayed_greedy_delta` runs the same greedy without ever
-  materializing edges or touching that index, and is the one place that
-  picks the route.  The C kernel of :mod:`rdvmatch._kernel` validates
-  the instance, orders it and runs the loop natively.  When the kernel
+  materializing edges or touching that index; :func:`_solve` picks its
+  route and states the contract both routes keep.  The C kernel of
+  :mod:`rdvmatch._kernel` validates the instance, orders it and runs the
+  loop natively.  When the kernel
   refuses an instance, or could not be built, :func:`_shoot_greedy` runs
   the pure route: one traversal of the host tree yields the node
   coordinates, which both validate the instance and place the vertices,
@@ -87,16 +88,32 @@ def delayed_greedy_delta(inst: RdvInstance) -> Matching:
     bottoms: shoot one ray per bottom, keep the earliest-ranked hit.
 
     Maximal for the processing order, but not necessarily maximum once
-    delta exceeds 1.  The native kernel solves the instance; when it
-    refuses, or was not built, :func:`_shoot_greedy` does.
+    delta exceeds 1.  :func:`_solve` picks the route.
     """
-    _, mate, size, _ = _kernel.solve(inst)
-    if mate is not None:
-        return Matching.from_mates(mate, size)
-    return _shoot_greedy(inst)
+    mate, steps = _solve(inst)
+    return Matching.from_mates(mate, steps[1])
 
 
-def _shoot_greedy(inst: RdvInstance) -> Matching:
+def _solve(inst: RdvInstance) -> tuple[array, array]:
+    """``(mate, steps)`` of the one matching loop, on the only switch
+    between its routes: the native kernel (:func:`rdvmatch._kernel.solve`)
+    first, and :func:`_shoot_greedy` whenever the kernel refuses the
+    instance or was not built.
+
+    Both routes keep one contract.  ``mate`` is an ``array('q')`` of
+    ``n + 1`` slots in which vertex v is matched to ``mate[v]``, or free
+    (0); ``steps`` is an ``array('q')`` of three counters: the find steps,
+    one per step of a find's halving walk and none of the compression walk
+    after it, the pairs, and 1 when the kernel's vertex checks and order
+    prefetched (0 on the pure route).  The first two are equal on both
+    routes.  An invalid instance raises
+    :class:`~rdvmatch.core.InvalidInstanceError` from the pure route.
+    """
+    code, mate, steps = _kernel.solve(inst)
+    return _shoot_greedy(inst) if code else (mate, steps)
+
+
+def _shoot_greedy(inst: RdvInstance) -> tuple[array, array]:
     """The pure matching loop of both entry points, and the reference for
     the native kernel, which runs the same loop.
 
@@ -130,12 +147,12 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     O(log |T|) amortized per find without ranks (Tarjan & van Leeuwen,
     JACM 1984); the compression walk revisits only the nodes the halving
     walk stepped through, so a find costs at most twice its halving
-    steps, the ones the kernel counts, and it only moves a link further
+    steps, the ones both routes count, and it only moves a link further
     along its own path, so no link path ever grows.
 
     The instance is validated first (:func:`checked_coordinates`), and the
-    loop reads its columns and writes each pair into a mate array, which
-    becomes the :class:`Matching` as it is.
+    loop reads its columns and writes each pair into a mate array; it
+    returns that array and its counters, as :func:`_solve` states them.
     """
     coords = checked_coordinates(inst)
     order = bottom_up_order(inst, coords)
@@ -145,7 +162,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
     link = list(inst.tree._parent)  # each node's parent until a find moves it
     head = [0] * len(link)  # 0 while the node holds no free vertex
     mate = array("q", [0]) * (n + 1)
-    size = 0
+    size = steps = 0
     for rank, v in enumerate(order, start=1):
         top = tops[v - 1]
         best = rank  # every hit ranks earlier
@@ -163,6 +180,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
                     w = link[w]
                 link[u] = w
                 u = w
+                steps += 1
             # then point every link of the walk at u, where it stopped:
             # the nodes between are dead
             w = start
@@ -178,7 +196,7 @@ def _shoot_greedy(inst: RdvInstance) -> Matching:
             size += 1
         else:
             head[top] = rank
-    return Matching.from_mates(mate, size)
+    return mate, array("q", [steps, size, 0])
 
 
 def rayshoot_greedy(inst: RdvInstance) -> Matching:

@@ -29,12 +29,12 @@ cut and byte-flipped texts in exactly sized buffers, and its split-fill
 tests feed texts large enough that the parse fills their two parts on
 two threads, where the process may run on more than one CPU), and its
 table test pins the solve's tracemalloc peak to 12 bytes per node and
-16 per vertex; and C6d and C6e of ``tests/test_acceptance.py``, which
-bound the find steps on five tree families up to n = 2^16 and the
-native route's peak bytes per vertex.  The pytest arguments go to every variant's
-run.  A warning fails its build, and the run names the compiler's first
-error line; a failed build, a failed test or a sanitizer report makes
-the exit code nonzero.
+16 per vertex; and the native runs of C6d and C6e of
+``tests/test_acceptance.py``, which bound the find steps on five tree
+families up to n = 2^16 and the native route's peak bytes per vertex.
+The pytest arguments go to every variant's run.  A warning fails its
+build, and the run names the compiler's first error line; a failed
+build, a failed test or a sanitizer report makes the exit code nonzero.
 
 The interpreter is not instrumented, so the sanitized variant's process
 is started with ``LD_PRELOAD`` naming the compiler's ``libasan`` and
@@ -68,7 +68,7 @@ TESTS = [
     # the solve's tests, and the tokenizer's fuzz and equivalence tests
     os.path.join(REPO, "tests", "test_kernel.py"),
     # five families up to n = 2^16, path trees among them
-    os.path.join(REPO, "tests", "test_acceptance.py") + "::test_c6d_find_step_growth_ratio",
+    os.path.join(REPO, "tests", "test_acceptance.py") + "::test_c6d_find_step_growth_ratio[native]",
     # the native route's peak bytes per vertex at delta 1 and 2
     os.path.join(REPO, "tests", "test_acceptance.py") + "::test_c6e_native_peak_memory_per_vertex",
 ]

@@ -316,31 +316,36 @@ def test_c6b_line_event_growth_ratio():
     )
 
 
-@needs_kernel
-def test_c6d_find_step_growth_ratio():
-    """C6d: find steps of the native kernel grow <= 2.25x per doubling of n.
+@pytest.mark.parametrize("route", [pytest.param("native", marks=needs_kernel), "pure"])
+def test_c6d_find_step_growth_ratio(route):
+    """C6d: find steps grow <= 2.25x per doubling of n, on the native route
+    and on the pure one.
 
-    The machine-independent twin of C6 for the native solve: the kernel
-    adds every step of every find to a counter, so a find that stopped
-    halving its path (or linking empty nodes at all) reads quadratic on
-    the path-shaped families.
+    The machine-independent twin of C6 for the find loop: both routes add
+    every step of every find to a counter, so a find that stopped halving
+    its path (or linking empty nodes at all) reads quadratic on the
+    path-shaped families.
     """
     worst = 0.0
     for name, make in GROWTH_FAMILIES.items():
         counts = []
         for k in range(10, 17):
-            code, _, _, steps = _kernel.solve(make(1 << k))
-            assert code == 0, f"{name}: the kernel refused n = 2^{k} (code {code})"
-            counts.append(steps)
+            inst = make(1 << k)
+            if route == "pure":
+                steps = _shoot_greedy(inst)[1]
+            else:
+                code, _, steps = _kernel.solve(inst)
+                assert code == 0, f"{name}: the kernel refused n = 2^{k} (code {code})"
+            counts.append(steps[0])
         ratios = [b / a for a, b in zip(counts, counts[1:])]
         assert all(r <= 2.25 for r in ratios), (
-            f"{name}: find-step ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
+            f"{route} {name}: find-step ratios {['%.2f' % r for r in ratios]} exceed 2.25, "
             f"counts {counts}"
         )
         worst = max(worst, *ratios)
     print(
-        "ACCEPTANCE C6d find-step growth: PASS "
-        f"({len(GROWTH_FAMILIES)} families, n = 2^10..2^16, worst ratio {worst:.2f})"
+        f"ACCEPTANCE C6d find-step growth: PASS ({route}, "
+        f"{len(GROWTH_FAMILIES)} families, n = 2^10..2^16, worst ratio {worst:.2f})"
     )
 
 

@@ -17,7 +17,7 @@ from rdvmatch.bench import (
 from rdvmatch.core import HostTree, Matching, RdvInstance, VertexPath
 from rdvmatch.gen import GenConfig, gen_random
 from rdvmatch.io import parse_instance
-from rdvmatch.matching import delayed_greedy
+from rdvmatch.matching import _shoot_greedy, delayed_greedy
 
 from conftest import random_instance
 
@@ -173,36 +173,35 @@ class TestBenchSweep:
         assert records[0].minor_faults == NOT_COUNTED
 
     def test_find_steps_per_ray(self):
-        """The kernel's find steps over the rays of the row's instance on
-        the native route, and a marker on the pure one (or without a
-        kernel), where no find step is counted."""
+        """The find steps over the rays of the row's instance, on either
+        route the count of the pure loop."""
         for family in ("dense", "random"):
             (record,) = bench_sweep(family, range(10, 11), repeats=1)
-            if _kernel.kernel is None:
-                assert record.find_steps == NOT_COUNTED
-            else:
-                inst = bench._bench_instance(family, 1 << 10, record.seed)
-                steps = _kernel.solve(inst)[3]
-                assert steps > 0 and record.find_steps == round(steps / len(inst.bots), 2)
+            inst = bench._bench_instance(family, 1 << 10, record.seed)
+            steps = _shoot_greedy(inst)[1][0]
+            assert steps > 0 and record.find_steps == round(steps / len(inst.bots), 2)
 
     def test_table_bytes_per_vertex(self):
-        """The kernel's tables per vertex on the native route: a 12-byte
-        record per node and 16 bytes per vertex, with a little slack for
-        the call itself; comb has two nodes per vertex.  A marker on the
-        pure route, and the same bounds under a trace already running."""
+        """The solve's traced bytes per vertex, with a little slack for the
+        call itself, and the same under a trace already running: on the
+        native route the kernel's tables, a 12-byte record per node and 16
+        bytes per vertex, where comb has two nodes per vertex; on the pure
+        route the pure loop's own peak."""
         for family, nodes_per_vertex in (("comb", 2), ("random", 1)):
             (record,) = bench_sweep(family, range(10, 11), repeats=1)
             if _kernel.kernel is None:
-                assert record.table_bytes == NOT_COUNTED
-                continue
-            tables = 12 * nodes_per_vertex + 16
-            assert tables <= record.table_bytes <= tables + 4, record.table_bytes
+                inst = bench._bench_instance(family, 1 << 10, record.seed)
+                _shoot_greedy(inst)  # the tree's children table, as the row's first solve
+                low = round(bench._traced(_shoot_greedy, inst)[1] / inst.n, 1)
+            else:
+                low = 12 * nodes_per_vertex + 16
             tracemalloc.start()
             try:
                 (traced,) = bench_sweep(family, range(10, 11), repeats=1)
             finally:
                 tracemalloc.stop()
-            assert tables <= traced.table_bytes <= tables + 4, traced.table_bytes
+            for row in (record, traced):
+                assert low <= row.table_bytes <= low + 4, (row.table_bytes, low)
 
     def test_comb_family_is_edgeless(self):
         records = bench_sweep("comb", range(3, 5), repeats=1)

@@ -68,13 +68,20 @@ def outcome(entry, inst, pure=False):
             return type(exc), str(exc)
 
 
+def assert_kernel_equals_pure_loop(inst, name=None):
+    """The kernel accepts ``inst``, and its mates, pairs and find steps are
+    the pure loop's; returns the kernel's steps."""
+    code, mate, steps = _kernel.solve(inst)
+    assert code == 0, name
+    pure_mate, pure_steps = _shoot_greedy(inst)
+    assert (mate, steps[:2]) == (pure_mate, pure_steps[:2]), name
+    return steps
+
+
 @needs_kernel
 def test_kernel_equals_pure_loop_on_fast_loop_corpus():
     for name, inst in fast_loop_corpus():
-        code, mate, _, steps = _kernel.solve(inst)
-        assert code == 0, name
-        assert mate == _shoot_greedy(inst)._mate, name
-        assert steps > 0, name
+        assert assert_kernel_equals_pure_loop(inst, name)[0] > 0, name
 
 
 def pure_line(text):
@@ -105,20 +112,6 @@ def traced_pure(inst, on_line):
         sys.settrace(outer)
 
 
-def pure_solve(inst):
-    """``(mate, pairs, find steps)`` of the pure loop ``_shoot_greedy``; its
-    find steps are the line events of the step ``u = w`` in its frame."""
-    step = pure_line("u = w")
-    steps = 0
-
-    def count(frame):
-        nonlocal steps
-        steps += frame.f_lineno == step
-
-    m = traced_pure(inst, count)
-    return m._mate, len(m), steps
-
-
 def pop_and_refill():
     """A path 1 - 2 - 3 whose node 2 takes vertex 1 in its queue, loses it
     to vertex 2 (a pop of the queue's tail that empties it), takes vertex
@@ -146,12 +139,10 @@ def test_kernel_equals_pure_loop_with_find_steps():
         "queue emptied by a pop, then refilled": pop_and_refill(),
     }
     for name, inst in cases.items():
-        code, mate, pairs, steps = _kernel.solve(inst)
-        assert code == 0, name
-        assert (mate, pairs, steps) == pure_solve(inst), name
-    assert pure_solve(cases["every vertex free"])[1] == 0
-    mate, pairs, steps = pure_solve(cases["queue emptied by a pop, then refilled"])
-    assert (list(mate), pairs, steps) == ([0, 2, 1, 4, 3, 0], 2, 3)
+        assert_kernel_equals_pure_loop(inst, name)
+    assert _shoot_greedy(cases["every vertex free"])[1][1] == 0
+    mate, steps = _shoot_greedy(cases["queue emptied by a pop, then refilled"])
+    assert (list(mate), list(steps)) == ([0, 2, 1, 4, 3, 0], [3, 2, 0])
 
 
 def test_find_walks_are_compressed_on_a_path():
@@ -159,7 +150,7 @@ def test_find_walks_are_compressed_on_a_path():
     the node where it stopped.  On dense at n = 2^15 halving alone takes
     104025 find steps, 3.17 per ray; with the compression it is 2.00."""
     inst = gen_dense(1 << 15)
-    steps = pure_solve(inst)[2]
+    steps = _shoot_greedy(inst)[1][0]
     assert steps <= 2.1 * inst.n, f"{steps / inst.n:.2f} find steps per ray"
 
 
@@ -201,11 +192,10 @@ def depth_stopped_solve(inst):
 
 def assert_both_routes_equal_the_model(name, inst):
     want = depth_stopped_solve(inst)
-    code, mate, pairs, _ = _kernel.solve(inst)
-    assert code == 0, name
-    assert (mate, pairs) == want, name
-    m = _shoot_greedy(inst)
-    assert (m._mate, len(m)) == want, name
+    code, mate, steps = _kernel.solve(inst)
+    assert code == 0 and (mate, steps[1]) == want, name
+    mate, steps = _shoot_greedy(inst)
+    assert (mate, steps[1]) == want, name
 
 
 def assert_links_stay_in_the_top_subtree(inst):
@@ -315,10 +305,10 @@ def test_tree_pass_fuzz_on_topological_columns(inst):
     exactly what validation rejects, and otherwise equals the pure loop
     in mates, pairs and find steps."""
     assert topological(inst.tree)
-    code, mate, pairs, steps = _kernel.solve(inst)
-    assert (code == 0) == (validate_instance(inst) == [])
-    if code == 0:
-        assert (mate, pairs, steps) == pure_solve(inst)
+    if validate_instance(inst):
+        assert _kernel.solve(inst)[0] != 0
+    else:
+        assert_kernel_equals_pure_loop(inst)
 
 
 @needs_kernel
@@ -344,10 +334,10 @@ def test_relabeling_nodes_changes_no_result():
         parents = shuffled.tree.parents()
         late = sum(p > node for node, p in enumerate(parents, start=1))
         assert late > len(parents) // 3, name
-        code, mate, size, steps = _kernel.solve(inst)
+        code, mate, steps = _kernel.solve(inst)
         assert code == 0, name
-        assert _kernel.solve(shuffled) == (code, mate, size, steps), name
-        assert _shoot_greedy(shuffled)._mate == _shoot_greedy(inst)._mate == mate, name
+        assert _kernel.solve(shuffled) == (code, mate, steps), name
+        assert _shoot_greedy(shuffled)[0] == _shoot_greedy(inst)[0] == mate, name
 
 
 def one_node_twins(inst):
@@ -386,7 +376,7 @@ def test_scan_route_equals_depth_first_pass():
         for twin_name, twin in twins:
             assert not topological(twin.tree), (name, twin_name)
             assert _kernel.solve(twin) == solved, (name, twin_name)
-            assert _shoot_greedy(twin)._mate == solved[1], (name, twin_name)
+            assert _shoot_greedy(twin)[0] == solved[1], (name, twin_name)
 
 
 @needs_kernel
@@ -453,11 +443,11 @@ def exhaustive_small_instances():
 @needs_kernel
 def test_kernel_accepts_exactly_the_valid_instances():
     for inst in exhaustive_small_instances():
-        code, mate, _, _ = _kernel.solve(inst)
+        code, mate, _ = _kernel.solve(inst)
         violations = validate_instance(inst)
         assert (code == 0) == (violations == []), (inst, code, violations)
         if code == 0:
-            assert mate == _shoot_greedy(inst)._mate, inst
+            assert mate == _shoot_greedy(inst)[0], inst
 
 
 @pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
@@ -515,7 +505,6 @@ def lying_instances():
         "list parents > 2^63": (
             HostTree([0, 1, 2**64]), array("q", [1]), array("q", [2]), None, 1
         ),
-        "delta 2^63": (tree, tops, bots, offsets, 2**63),
         # Python would slice bots[0:-1] and bots[-1:3], two sound vertices
         "falling offsets": (
             three, array("q", [1, 1]), array("q", [3, 4, 2]), array("q", [0, -1, 3]), 2
@@ -533,6 +522,36 @@ def test_lying_columns_end_in_the_pure_route(inst):
     assert _kernel.solve(inst)[0] != 0
     for entry in ENTRIES:
         assert outcome(entry, inst) == outcome(entry, inst, pure=True), entry.__name__
+
+
+def with_delta(delta):
+    """A valid instance of 200 vertices of up to 2 bottoms, under ``delta``."""
+    inst = gen_random(GenConfig(seed=5, tree_nodes=200, n_vertices=200, delta=2))
+    return RdvInstance.from_columns(inst.tree, inst.tops, inst.bots, inst.offsets, delta)
+
+
+# deltas at and past 2^31 - 1, which the kernel takes clamped to 2^31 - 1,
+# more bottoms than any vertex can have
+LARGE_DELTAS = {"2^31 - 1": 2**31 - 1, "2^31": 2**31, "2^40": 2**40, "2^63": 2**63, "2^70": 2**70}
+
+
+@needs_kernel
+@pytest.mark.parametrize("delta", LARGE_DELTAS.values(), ids=LARGE_DELTAS)
+def test_valid_instances_with_a_large_delta_solve_natively(delta):
+    inst = with_delta(delta)
+    assert validate_instance(inst) == []
+    code, mate, _ = _kernel.solve(inst)
+    assert code == 0 and mate == _shoot_greedy(inst)[0]
+
+
+@needs_kernel
+def test_a_large_negative_delta_is_refused_and_named():
+    delta = -(2**40)
+    inst = with_delta(delta)
+    assert _kernel.solve(inst)[0] != 0
+    for entry in ENTRIES:
+        kind, message = outcome(entry, inst)
+        assert kind is InvalidInstanceError and f"got {delta}" in message, entry.__name__
 
 
 @pytest.mark.parametrize("pure", [False, True], ids=["kernel", "pure"])
@@ -602,10 +621,10 @@ def test_solve_tables_take_12_bytes_per_node_and_16_per_vertex(make):
     node shows there twice.  The parsed instance's columns are int32, so
     none is narrowed by a copy."""
     inst = parse_instance(write_instance(make(4096)))
-    _kernel._solve(inst)  # anything the first call allocates once
+    _kernel.solve(inst)  # anything the first call allocates once
     tracemalloc.start()
     try:
-        code = _kernel._solve(inst)[0]
+        code = _kernel.solve(inst)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -662,9 +681,8 @@ def test_foreign_64_bit_columns_solve_natively(make):
     inst = make(300)
     foreign = foreign_instance(inst)
     assert {c.typecode for c in (foreign.tree._parent, foreign.tops, foreign.bots)} == {"q"}
-    code, mate, pairs, steps = _kernel.solve(foreign)
-    assert code == 0
-    assert (mate, pairs, steps) == pure_solve(foreign) == pure_solve(inst)
+    steps = assert_kernel_equals_pure_loop(foreign)
+    assert steps[:2] == _shoot_greedy(inst)[1][:2]
     for entry in ENTRIES:
         assert outcome(entry, foreign) == outcome(entry, inst, pure=True), entry.__name__
 
@@ -709,9 +727,7 @@ def test_prefetches_equal_pure_loop_at_the_decision_edges(shape, n):
     or more."""
     make, scattered = DECISION_SHAPES[shape]
     inst = make(n)
-    code, mate, steps = _kernel._solve(inst)
-    assert code == 0
-    assert (mate, steps[1], steps[0]) == pure_solve(inst)
+    steps = assert_kernel_equals_pure_loop(inst)
     assert steps[2] == (scattered and n >= 128)
 
 
@@ -740,7 +756,7 @@ def assert_refused_after_the_sample(columns):
     """The vertex checks and the order prefetched, the kernel refused the
     instance, and both entry points raise the pure route's exact error."""
     inst = RdvInstance.from_columns(*columns)
-    code, _, steps = _kernel._solve(inst)
+    code, _, steps = _kernel.solve(inst)
     assert code != 0 and steps[2] == 1
     for entry in ENTRIES:
         got = outcome(entry, inst)
